@@ -1,0 +1,358 @@
+"""Command-line surface.
+
+Subcommands: measure, scan, expect, trend, bounds, oracle, tail, report.
+Data goes to stdout (JSON lines or CSV, each stream starting with a header
+that echoes the resolved flags); logs go to stderr. Exit codes: 0 success,
+1 failed verdict, 2 usage or input error. CORRLAB_SEED provides the default
+master seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+from . import bounds, experiments, measures, oracles, seqcore
+from .errors import ParseError, ResourceLimitError
+
+
+def _default_seed() -> int:
+    return int(os.environ.get("CORRLAB_SEED", "0"))
+
+
+def _load_sequences(path: str) -> list[seqcore.BinarySequence]:
+    text = Path(path).read_text(encoding="ascii")
+    seqs = seqcore.read_sequence_lines(text)
+    if not seqs:
+        raise ParseError(f"no sequences found in {path}")
+    return seqs
+
+
+def _parse_int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _parse_float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _parse_orders(text: str) -> list[int]:
+    """Either a single order '3' or an inclusive span '2..5'."""
+    if ".." in text:
+        lo, hi = text.split("..", maxsplit=1)
+        return list(range(int(lo), int(hi) + 1))
+    return [int(text)]
+
+
+def _emit_json_line(obj: dict) -> None:
+    sys.stdout.write(json.dumps(obj) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers
+
+
+def _cmd_measure(args) -> int:
+    if args.order < 2:
+        print("error: --order must be >= 2", file=sys.stderr)
+        return 2
+    seqs = _load_sequences(args.file)
+    _emit_json_line({"command": "measure", "file": args.file, "order": args.order,
+                     "sampled": bool(args.sampled), "budget": args.budget,
+                     "seed": args.seed})
+    for idx, seq in enumerate(seqs):
+        if args.sampled:
+            result = measures.correlation_measure_sampled(
+                seq, args.order, args.budget,
+                seqcore.SeedSpec(args.seed, idx))
+        else:
+            result = measures.correlation_measure_exact(
+                seq, args.order, work_budget=args.work_budget)
+        _emit_json_line({"index": idx, "n": seq.length, **result.to_dict()})
+    return 0
+
+
+def _cmd_scan(args) -> int:
+    orders = _parse_orders(args.orders)
+    if any(r < 2 for r in orders):
+        print("error: orders must be >= 2", file=sys.stderr)
+        return 2
+    seqs = _load_sequences(args.file)
+    sys.stdout.write(f"# scan file={args.file} orders={args.orders}\n")
+    sys.stdout.write("index,n,order,value\n")
+    for idx, seq in enumerate(seqs):
+        for r in orders:
+            result = measures.correlation_measure_exact(seq, r,
+                                                        work_budget=args.work_budget)
+            sys.stdout.write(f"{idx},{seq.length},{r},{result.value}\n")
+    return 0
+
+
+def _expect_config(args) -> experiments.ExperimentConfig:
+    return experiments.ExperimentConfig(
+        n_grid=tuple(_parse_int_list(args.n_grid)),
+        r=args.order, samples=args.samples, master_seed=args.seed,
+        work_budget=args.work_budget)
+
+
+def _emit_report(report: experiments.ExperimentReport, fmt: str) -> int:
+    sys.stdout.write(experiments.emit_report(report, fmt))
+    if report.wall_time_s is not None:
+        print(f"[{report.experiment}] wall time {report.wall_time_s:.2f}s",
+              file=sys.stderr)
+    return 0 if report.passed else 1
+
+
+def _cmd_expect(args) -> int:
+    report = experiments.estimate_expected_ratio(_expect_config(args),
+                                                 workers=args.workers)
+    return _emit_report(report, args.format)
+
+
+def _cmd_bounds(args) -> int:
+    failed = False
+    if args.check == "theoremC":
+        _emit_json_line({"command": "bounds", "check": "theoremC", "n": args.n,
+                         "r": args.r, "exhaustive": bool(args.exhaustive)})
+        if args.exhaustive:
+            reports = [bounds.certify_theoremC_all(args.n, args.r,
+                                                   workers=args.workers)]
+        else:
+            seqs = _load_sequences(args.file)
+            reports = [bounds.certify_theoremC(s, args.r) for s in seqs]
+    elif args.check == "max":
+        _emit_json_line({"command": "bounds", "check": "max", "n": args.n,
+                         "s": args.s, "exhaustive": bool(args.exhaustive)})
+        if args.exhaustive:
+            reports = bounds.certify_theorem_max_all(args.n, [args.s],
+                                                     workers=args.workers)
+        else:
+            seqs = _load_sequences(args.file)
+            reports = [bounds.certify_theorem_max(s, args.s) for s in seqs]
+    else:  # welch
+        _emit_json_line({"command": "bounds", "check": "welch", "ell": args.ell,
+                         "m": args.m, "k": args.k, "families": args.families,
+                         "seed": args.seed})
+        reports = []
+        for i in range(args.families):
+            rng = seqcore.SeedSpec(args.seed, i).generator()
+            mat = 1 - 2 * rng.integers(0, 2, size=(args.m, args.ell)).astype("int8")
+            fam = bounds.VectorFamily(args.ell, mat)
+            wb = bounds.welch_bound(args.ell, args.m, args.k)
+            achieved = bounds.max_offdiag_scalar(fam)
+            reports.append(bounds.BoundReport(
+                bound_value=wb.value, achieved_value=float(achieved),
+                satisfied=wb.vacuous or achieved >= wb.value,
+                construction={"kind": "welch_random_family", "ell": args.ell,
+                              "m": args.m, "k": args.k, "family_index": i,
+                              "vacuous": wb.vacuous}))
+    for report in reports:
+        _emit_json_line(report.to_dict())
+        failed = failed or not report.satisfied
+    return 1 if failed else 0
+
+
+def _cmd_oracle(args) -> int:
+    check = args.check
+    if check == "naive":
+        seqs = _load_sequences(args.file)
+        _emit_json_line({"command": "oracle", "check": "naive", "order": args.order})
+        for idx, seq in enumerate(seqs):
+            value = oracles.naive_correlation_measure(seq, args.order)
+            _emit_json_line({"index": idx, "n": seq.length, "value": value})
+        return 0
+    if check == "even":
+        if args.entries:
+            entries = tuple(_parse_int_list(args.entries))
+            degree = oracles.evenness_degree(entries)
+            _emit_json_line({"command": "oracle", "check": "even",
+                             "entries": list(entries), "evenness_degree": degree,
+                             "even": degree == len(entries) // 2})
+            return 0
+        count = oracles.count_even_tuples(args.m, args.q)
+        bound = bounds.double_factorial_odd(args.q) * args.m ** args.q
+        ok = count <= bound
+        _emit_json_line({"command": "oracle", "check": "even", "m": args.m,
+                         "q": args.q, "count": count, "bound": bound,
+                         "satisfied": ok})
+        return 0 if ok else 1
+    if check == "constrained":
+        u = measures.ShiftTuple((args.u,))
+        v = measures.ShiftTuple((args.v,))
+        count = oracles.count_constrained_even(args.n, args.q, args.t, u, v)
+        bound = oracles.constrained_even_bound(args.n, args.q, args.t)
+        ok = count <= bound
+        _emit_json_line({"command": "oracle", "check": "constrained", "n": args.n,
+                         "q": args.q, "t": args.t, "u": args.u, "v": args.v,
+                         "count": count, "bound": bound, "satisfied": ok})
+        return 0 if ok else 1
+    if check == "moment":
+        u = measures.ShiftTuple(tuple(_parse_int_list(args.u_offsets)))
+        v = measures.ShiftTuple(tuple(_parse_int_list(args.v_offsets)))
+        mc = oracles.exact_moment(args.n, u, v, args.p, args.h)
+        _emit_json_line({"command": "oracle", "check": "moment", **mc.to_dict()})
+        return 0 if mc.satisfied else 1
+    if check == "tail":
+        u = measures.ShiftTuple(tuple(_parse_int_list(args.u_offsets)))
+        prob = oracles.exact_tail(args.n, u, args.lam)
+        _emit_json_line({"command": "oracle", "check": "tail", "n": args.n,
+                         "u": list(u.offsets), "lam": args.lam,
+                         "probability": str(prob), "probability_float": float(prob)})
+        return 0
+    # expect
+    expectation = oracles.exact_expected_measure(args.n, args.order)
+    _emit_json_line({"command": "oracle", "check": "expect", "n": args.n,
+                     "order": args.order, "expectation": str(expectation),
+                     "expectation_float": float(expectation)})
+    return 0
+
+
+def _cmd_tail(args) -> int:
+    lams = tuple(c * math.sqrt(args.n) for c in _parse_float_list(args.lambda_mults))
+    cfg = experiments.ExperimentConfig(
+        n_grid=(args.n,), samples=args.samples, master_seed=args.seed,
+        delta=args.delta, lambda_grid=lams, slack=args.slack,
+        dyadic_p=args.dyadic_p)
+    report = experiments.check_range_tail(cfg, workers=args.workers)
+    return _emit_report(report, args.format)
+
+
+def _cmd_report(args) -> int:
+    text = Path(args.input).read_text(encoding="utf-8")
+    report = experiments.parse_report(text, "json")
+    sys.stdout.write(experiments.emit_report(report, args.to))
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def _add_common(sub, *, workers=True, seed=True, fmt=False, budget=False):
+    if workers:
+        sub.add_argument("--threads", type=int, default=1, dest="workers",
+                         help="worker threads (output is identical for any count; default 1)")
+    if seed:
+        sub.add_argument("--seed", type=int, default=_default_seed(),
+                         help="master seed (default: CORRLAB_SEED or 0)")
+    if fmt:
+        sub.add_argument("--format", choices=experiments.FORMATS, default="csv",
+                         help="report format (default csv)")
+    if budget:
+        sub.add_argument("--work-budget", type=int,
+                         default=measures.DEFAULT_WORK_BUDGET,
+                         help="exact-enumeration step budget (default 1e9)")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="corrlab",
+        description="Correlation measures of ±1 sequences: exact values, "
+                    "lower-bound certificates, and Monte Carlo checks.")
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p = subs.add_parser("measure", help="correlation measure per input sequence")
+    p.add_argument("--file", required=True, help="sequence file, one per line")
+    p.add_argument("--order", type=int, required=True, help="correlation order r >= 2")
+    p.add_argument("--sampled", action="store_true",
+                   help="random-tuple lower bound instead of exact enumeration")
+    p.add_argument("--budget", type=int, default=10_000,
+                   help="tuples to sample with --sampled (default 10000)")
+    _add_common(p, workers=False, budget=True)
+    p.set_defaults(func=_cmd_measure)
+
+    p = subs.add_parser("scan", help="CSV of exact C_r over a span of orders")
+    p.add_argument("--file", required=True)
+    p.add_argument("--orders", required=True, help="single order '3' or span '2..5'")
+    _add_common(p, workers=False, seed=False, budget=True)
+    p.set_defaults(func=_cmd_scan)
+
+    for name, text in (("expect", "sample means of the normalized measure"),
+                       ("trend", "normalized-measure means across a length grid")):
+        p = subs.add_parser(name, help=text)
+        p.add_argument("--n-grid", required=True, help="comma list of lengths")
+        p.add_argument("--order", type=int, default=2)
+        p.add_argument("--samples", type=int, default=200)
+        _add_common(p, fmt=True, budget=True)
+        p.set_defaults(func=_cmd_expect)
+
+    p = subs.add_parser("bounds", help="minimum-value and scalar-product certificates")
+    p.add_argument("--check", choices=("theoremC", "max", "welch"), required=True)
+    p.add_argument("--n", type=int, help="sequence length (exhaustive modes)")
+    p.add_argument("--r", type=int, default=1, help="half-order for theoremC")
+    p.add_argument("--s", type=int, default=1, help="max order count for max check")
+    p.add_argument("--exhaustive", action="store_true",
+                   help="scan all 2^n sequences instead of reading --file")
+    p.add_argument("--file", help="sequence file for per-sequence certificates")
+    p.add_argument("--ell", type=int, default=8, help="vector length (welch)")
+    p.add_argument("--m", type=int, default=16, help="family size (welch)")
+    p.add_argument("--k", type=int, default=1, help="exponent parameter (welch)")
+    p.add_argument("--families", type=int, default=1,
+                   help="random families to test (welch)")
+    _add_common(p)
+    p.set_defaults(func=_cmd_bounds)
+
+    p = subs.add_parser("oracle", help="brute-force reference computations")
+    p.add_argument("--check", choices=("naive", "even", "constrained", "moment",
+                                       "tail", "expect"), required=True)
+    p.add_argument("--file", help="sequence file (naive)")
+    p.add_argument("--order", type=int, default=2, help="order r (naive, expect)")
+    p.add_argument("--entries", help="comma list: tuple for evenness degree (even)")
+    p.add_argument("--m", type=int, default=3, help="alphabet size (even count)")
+    p.add_argument("--q", type=int, default=1, help="half tuple length (even, constrained)")
+    p.add_argument("--n", type=int, default=8, help="range/length parameter")
+    p.add_argument("--t", type=int, default=0, help="degree deficit (constrained)")
+    p.add_argument("--u", type=int, default=1, help="first offset (constrained)")
+    p.add_argument("--v", type=int, default=2, help="second offset (constrained)")
+    p.add_argument("--u-offsets", default="1", help="comma offsets of u (moment, tail)")
+    p.add_argument("--v-offsets", default="2", help="comma offsets of v (moment)")
+    p.add_argument("--p", type=int, default=1, help="moment exponent")
+    p.add_argument("--h", type=int, default=0, help="moment split parameter, 0 <= h < p")
+    p.add_argument("--lam", type=float, default=0.0, help="tail threshold")
+    _add_common(p, workers=False, seed=False)
+    p.set_defaults(func=_cmd_oracle)
+
+    p = subs.add_parser("tail", help="Monte Carlo walk-range tail check")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--lambda-mults", default="2.1,2.5,3.0",
+                   help="comma list c: thresholds lambda = c*sqrt(n)")
+    p.add_argument("--slack", type=float, default=0.01)
+    p.add_argument("--dyadic-p", type=int, default=None,
+                   help="also compare against the dyadic-form bound at this p")
+    _add_common(p, fmt=True)
+    p.set_defaults(func=_cmd_tail)
+
+    p = subs.add_parser("report", help="re-render a stored JSON report")
+    p.add_argument("--input", required=True, help="JSON report file")
+    p.add_argument("--to", choices=experiments.FORMATS, default="csv")
+    _add_common(p, workers=False, seed=False)
+    p.set_defaults(func=_cmd_report)
+
+    return parser
+
+
+def run(argv=None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except (ParseError, ResourceLimitError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def main() -> int:
+    return run()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

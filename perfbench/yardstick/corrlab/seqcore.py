@@ -1,0 +1,217 @@
+"""Binary ±1 sequences: bit-packed representation, seeded generation, enumeration, text I/O.
+
+A sequence (a_1, ..., a_n) over {-1, +1} is stored as a Python integer whose
+bit j encodes a_{j+1} = (-1)^bit. Symbol products then become XOR and window
+sums become popcounts, which is what the correlation kernels rely on.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator
+
+import numpy as np
+
+from .errors import ParseError, ResourceLimitError
+
+EXHAUSTIVE_LIMIT = 24  # 2^24 sequences is the largest full enumeration we allow
+
+
+@dataclass(frozen=True)
+class BinarySequence:
+    """Immutable ±1 sequence of length >= 1, payload bit-packed into an int."""
+
+    length: int
+    bits: int
+
+    def __post_init__(self):
+        if self.length < 1:
+            raise ValueError(f"sequence length must be >= 1, got {self.length}")
+        if not 0 <= self.bits < (1 << self.length):
+            raise ValueError("bit payload does not fit the declared length")
+
+    @classmethod
+    def from_symbols(cls, symbols: Iterable[int]) -> "BinarySequence":
+        bits = 0
+        n = 0
+        for j, s in enumerate(symbols):
+            if s == -1:
+                bits |= 1 << j
+            elif s != 1:
+                raise ValueError(f"symbol at position {j + 1} is {s!r}, expected -1 or +1")
+            n += 1
+        return cls(n, bits)
+
+    @classmethod
+    def from_array(cls, arr: np.ndarray) -> "BinarySequence":
+        arr = np.asarray(arr)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("expected a nonempty 1-d array of ±1 symbols")
+        neg = arr == -1
+        if not np.all(neg | (arr == 1)):
+            raise ValueError("array entries must be -1 or +1")
+        packed = np.packbits(neg.astype(np.uint8), bitorder="little")
+        return cls(int(arr.size), int.from_bytes(packed.tobytes(), "little"))
+
+    def __len__(self) -> int:
+        return self.length
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        nbytes = (self.length + 7) // 8
+        raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=self.length, bitorder="little")
+        out = (1 - 2 * bits.astype(np.int8))
+        out.flags.writeable = False
+        return out
+
+    def to_array(self) -> np.ndarray:
+        """Read-only int8 view of the symbols."""
+        return self._array
+
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(int(s) for s in self._array)
+
+    def prefix(self, m: int) -> "BinarySequence":
+        if not 1 <= m <= self.length:
+            raise ValueError(f"prefix length {m} out of range 1..{self.length}")
+        return BinarySequence(m, self.bits & ((1 << m) - 1))
+
+    def negate(self) -> "BinarySequence":
+        return BinarySequence(self.length, self.bits ^ ((1 << self.length) - 1))
+
+    def reverse(self) -> "BinarySequence":
+        rev = int(format(self.bits, f"0{self.length}b")[::-1], 2)
+        return BinarySequence(self.length, rev)
+
+
+@dataclass(frozen=True)
+class SeedSpec:
+    """Key for a deterministic, splittable random stream.
+
+    (master_seed, stream_index) maps to a counter-based generator as a pure
+    function; distinct stream indices give statistically independent streams,
+    so sampling can be parallelized without changing any result.
+    """
+
+    master_seed: int
+    stream_index: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.master_seed < (1 << 64):
+            raise ValueError("master_seed must fit in 64 unsigned bits")
+        if self.stream_index < 0:
+            raise ValueError("stream_index must be nonnegative")
+
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(entropy=self.master_seed,
+                                      spawn_key=(self.stream_index,))
+
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(self._seed_sequence()))
+
+    def py_random(self) -> random.Random:
+        """Stdlib generator for exact sampling over arbitrarily large integer ranges."""
+        state = self._seed_sequence().generate_state(4, dtype=np.uint64)
+        seed = 0
+        for word in state:
+            seed = (seed << 64) | int(word)
+        return random.Random(seed)
+
+    def stream(self, stream_index: int) -> "SeedSpec":
+        return SeedSpec(self.master_seed, stream_index)
+
+
+def random_sequence(n: int, seed: SeedSpec) -> BinarySequence:
+    """Uniform random sequence: each symbol independent ±1 with probability 1/2."""
+    if n < 1:
+        raise ValueError(f"sequence length must be >= 1, got {n}")
+    bits = seed.generator().integers(0, 2, size=n, dtype=np.uint8)
+    packed = np.packbits(bits, bitorder="little")
+    return BinarySequence(n, int.from_bytes(packed.tobytes(), "little"))
+
+
+def alternating(n: int) -> BinarySequence:
+    """(1, -1, 1, -1, ...), the minimizer for odd-order correlation."""
+    if n < 1:
+        raise ValueError(f"sequence length must be >= 1, got {n}")
+    # 0xAA has exactly the odd bit positions set, i.e. -1 at even 1-based positions
+    pattern = int.from_bytes(b"\xaa" * ((n + 7) // 8), "little")
+    return BinarySequence(n, pattern & ((1 << n) - 1))
+
+
+def all_ones(n: int) -> BinarySequence:
+    if n < 1:
+        raise ValueError(f"sequence length must be >= 1, got {n}")
+    return BinarySequence(n, 0)
+
+
+def enumerate_all(n: int, limit: int = EXHAUSTIVE_LIMIT) -> Iterator[BinarySequence]:
+    """All 2^n sequences, in the integer order of their bit encodings."""
+    if n < 1:
+        raise ValueError(f"sequence length must be >= 1, got {n}")
+    if n > limit:
+        raise ResourceLimitError(
+            f"full enumeration of 2^{n} sequences exceeds the limit n <= {limit}")
+    return (BinarySequence(n, bits) for bits in range(1 << n))
+
+
+def all_sequences_matrix(n: int, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarray:
+    """(2^n, n) int8 matrix of every sequence, rows in enumeration order."""
+    if n < 1:
+        raise ValueError(f"sequence length must be >= 1, got {n}")
+    if n > limit:
+        raise ResourceLimitError(
+            f"full enumeration of 2^{n} sequences exceeds the limit n <= {limit}")
+    counters = np.arange(1 << n, dtype=np.int64)
+    mat = np.empty((1 << n, n), dtype=np.int8)
+    for j in range(n):
+        mat[:, j] = 1 - 2 * ((counters >> j) & 1)
+    return mat
+
+
+_ALPHABETS = {"+": {"+": 1, "-": -1}, "-": {"+": 1, "-": -1},
+              "0": {"0": 1, "1": -1}, "1": {"0": 1, "1": -1}}
+
+
+def read_sequence(text: str) -> BinarySequence:
+    """Parse one sequence from '+'/'-' or '0'/'1' text (alphabets cannot be mixed)."""
+    if not text:
+        raise ParseError("empty sequence text", position=1)
+    alphabet = _ALPHABETS.get(text[0])
+    if alphabet is None:
+        raise ParseError(f"invalid symbol {text[0]!r} at position 1", position=1)
+    bits = 0
+    for j, ch in enumerate(text):
+        sym = alphabet.get(ch)
+        if sym is None:
+            raise ParseError(f"invalid symbol {ch!r} at position {j + 1}", position=j + 1)
+        if sym == -1:
+            bits |= 1 << j
+    return BinarySequence(len(text), bits)
+
+
+def write_sequence(seq: BinarySequence) -> str:
+    """Render in the '+'/'-' alphabet ('+' is +1)."""
+    return "".join("-" if (seq.bits >> j) & 1 else "+" for j in range(seq.length))
+
+
+def read_sequence_lines(text: str) -> list[BinarySequence]:
+    """Parse the one-sequence-per-line file format; blank lines are skipped."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(read_sequence(line))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}", position=exc.position,
+                             line=lineno) from None
+    return out
+
+
+def write_sequence_lines(seqs: Iterable[BinarySequence]) -> str:
+    return "".join(write_sequence(s) + "\n" for s in seqs)
