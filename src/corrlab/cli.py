@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: measure, scan, expect, trend, bounds, oracle, tail, report.
+Subcommands: measure, scan, trend (alias expect), bounds, oracle, tail, report.
 Data goes to stdout (JSON lines or CSV, each stream starting with a header
 that echoes the resolved flags); logs go to stderr. Exit codes: 0 success,
 1 failed verdict, 2 usage or input error. CORRLAB_SEED provides the default
@@ -21,10 +21,16 @@ from .errors import ParseError, ResourceLimitError
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("CORRLAB_SEED", "0"))
+    text = os.environ.get("CORRLAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"CORRLAB_SEED must be an integer, got {text!r}") from None
 
 
-def _load_sequences(path: str) -> list[seqcore.BinarySequence]:
+def _load_sequences(path: str | None) -> list[seqcore.BinarySequence]:
+    if path is None:
+        raise ValueError("--file is required")
     text = Path(path).read_text(encoding="ascii")
     seqs = seqcore.read_sequence_lines(text)
     if not seqs:
@@ -58,12 +64,10 @@ def _emit_json_line(obj: dict) -> None:
 
 def _cmd_measure(args) -> int:
     if args.order < 2:
-        print("error: --order must be >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("--order must be >= 2")
     seqs = _load_sequences(args.file)
-    _emit_json_line({"command": "measure", "file": args.file, "order": args.order,
-                     "sampled": bool(args.sampled), "budget": args.budget,
-                     "seed": args.seed})
+    records = [{"command": "measure", "file": args.file, "order": args.order,
+                "sampled": bool(args.sampled), "budget": args.budget, "seed": args.seed}]
     for idx, seq in enumerate(seqs):
         if args.sampled:
             result = measures.correlation_measure_sampled(
@@ -72,31 +76,25 @@ def _cmd_measure(args) -> int:
         else:
             result = measures.correlation_measure_exact(
                 seq, args.order, work_budget=args.work_budget)
-        _emit_json_line({"index": idx, "n": seq.length, **result.to_dict()})
+        records.append({"index": idx, "n": seq.length, **result.to_dict()})
+    for record in records:
+        _emit_json_line(record)
     return 0
 
 
 def _cmd_scan(args) -> int:
     orders = _parse_orders(args.orders)
     if any(r < 2 for r in orders):
-        print("error: orders must be >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("orders must be >= 2")
     seqs = _load_sequences(args.file)
-    sys.stdout.write(f"# scan file={args.file} orders={args.orders}\n")
-    sys.stdout.write("index,n,order,value\n")
+    lines = [f"# scan file={args.file} orders={args.orders}\n", "index,n,order,value\n"]
     for idx, seq in enumerate(seqs):
         for r in orders:
             result = measures.correlation_measure_exact(seq, r,
                                                         work_budget=args.work_budget)
-            sys.stdout.write(f"{idx},{seq.length},{r},{result.value}\n")
+            lines.append(f"{idx},{seq.length},{r},{result.value}\n")
+    sys.stdout.write("".join(lines))
     return 0
-
-
-def _expect_config(args) -> experiments.ExperimentConfig:
-    return experiments.ExperimentConfig(
-        n_grid=tuple(_parse_int_list(args.n_grid)),
-        r=args.order, samples=args.samples, master_seed=args.seed,
-        work_budget=args.work_budget)
 
 
 def _emit_report(report: experiments.ExperimentReport, fmt: str) -> int:
@@ -107,17 +105,22 @@ def _emit_report(report: experiments.ExperimentReport, fmt: str) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_expect(args) -> int:
-    report = experiments.estimate_expected_ratio(_expect_config(args),
-                                                 workers=args.workers)
+def _cmd_trend(args) -> int:
+    cfg = experiments.ExperimentConfig(
+        n_grid=tuple(_parse_int_list(args.n_grid)),
+        r=args.order, samples=args.samples, master_seed=args.seed,
+        work_budget=args.work_budget)
+    report = experiments.estimate_expected_ratio(cfg, workers=args.workers)
     return _emit_report(report, args.format)
 
 
 def _cmd_bounds(args) -> int:
-    failed = False
+    # every report is built before the header, so a bad flag writes nothing
+    if args.check != "welch" and args.exhaustive and args.n is None:
+        raise ValueError(f"--check {args.check} --exhaustive needs --n")
     if args.check == "theoremC":
-        _emit_json_line({"command": "bounds", "check": "theoremC", "n": args.n,
-                         "r": args.r, "exhaustive": bool(args.exhaustive)})
+        header = {"command": "bounds", "check": "theoremC", "n": args.n,
+                  "r": args.r, "exhaustive": bool(args.exhaustive)}
         if args.exhaustive:
             reports = [bounds.certify_theoremC_all(args.n, args.r,
                                                    workers=args.workers)]
@@ -125,8 +128,8 @@ def _cmd_bounds(args) -> int:
             seqs = _load_sequences(args.file)
             reports = [bounds.certify_theoremC(s, args.r) for s in seqs]
     elif args.check == "max":
-        _emit_json_line({"command": "bounds", "check": "max", "n": args.n,
-                         "s": args.s, "exhaustive": bool(args.exhaustive)})
+        header = {"command": "bounds", "check": "max", "n": args.n,
+                  "s": args.s, "exhaustive": bool(args.exhaustive)}
         if args.exhaustive:
             reports = bounds.certify_theorem_max_all(args.n, [args.s],
                                                      workers=args.workers)
@@ -134,15 +137,15 @@ def _cmd_bounds(args) -> int:
             seqs = _load_sequences(args.file)
             reports = [bounds.certify_theorem_max(s, args.s) for s in seqs]
     else:  # welch
-        _emit_json_line({"command": "bounds", "check": "welch", "ell": args.ell,
-                         "m": args.m, "k": args.k, "families": args.families,
-                         "seed": args.seed})
+        header = {"command": "bounds", "check": "welch", "ell": args.ell,
+                  "m": args.m, "k": args.k, "families": args.families,
+                  "seed": args.seed}
+        wb = bounds.welch_bound(args.ell, args.m, args.k)
         reports = []
         for i in range(args.families):
             rng = seqcore.SeedSpec(args.seed, i).generator()
             mat = 1 - 2 * rng.integers(0, 2, size=(args.m, args.ell)).astype("int8")
             fam = bounds.VectorFamily(args.ell, mat)
-            wb = bounds.welch_bound(args.ell, args.m, args.k)
             achieved = bounds.max_offdiag_scalar(fam)
             reports.append(bounds.BoundReport(
                 bound_value=wb.value, achieved_value=float(achieved),
@@ -150,6 +153,8 @@ def _cmd_bounds(args) -> int:
                 construction={"kind": "welch_random_family", "ell": args.ell,
                               "m": args.m, "k": args.k, "family_index": i,
                               "vacuous": wb.vacuous}))
+    _emit_json_line(header)
+    failed = False
     for report in reports:
         _emit_json_line(report.to_dict())
         failed = failed or not report.satisfied
@@ -235,7 +240,8 @@ def _cmd_report(args) -> int:
 def _add_common(sub, *, workers=True, seed=True, fmt=False, budget=False):
     if workers:
         sub.add_argument("--threads", type=int, default=1, dest="workers",
-                         help="worker threads (output is identical for any count; default 1)")
+                         help="accepted for compatibility: the work runs serially "
+                              "and output is identical for any count (default 1)")
     if seed:
         sub.add_argument("--seed", type=int, default=_default_seed(),
                          help="master seed (default: CORRLAB_SEED or 0)")
@@ -271,14 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, workers=False, seed=False, budget=True)
     p.set_defaults(func=_cmd_scan)
 
-    for name, text in (("expect", "sample means of the normalized measure"),
-                       ("trend", "normalized-measure means across a length grid")):
-        p = subs.add_parser(name, help=text)
-        p.add_argument("--n-grid", required=True, help="comma list of lengths")
-        p.add_argument("--order", type=int, default=2)
-        p.add_argument("--samples", type=int, default=200)
-        _add_common(p, fmt=True, budget=True)
-        p.set_defaults(func=_cmd_expect)
+    p = subs.add_parser("trend", aliases=["expect"],
+                        help="normalized-measure means across a length grid")
+    p.add_argument("--n-grid", required=True, help="comma list of lengths")
+    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--samples", type=int, default=200)
+    _add_common(p, fmt=True, budget=True)
+    p.set_defaults(func=_cmd_trend)
 
     p = subs.add_parser("bounds", help="minimum-value and scalar-product certificates")
     p.add_argument("--check", choices=("theoremC", "max", "welch"), required=True)
@@ -338,13 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.workers}")
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed usage or help
+        return int(exc.code or 0)
     except (ParseError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,8 @@ import numpy as np
 
 from .bounds import log_binomial
 from . import measures
-from .seqcore import SeedSpec, random_sequence
+from .seqcore import SeedSpec, _random_bits
+from .seqcore import random_sequence  # noqa: F401  (perfbench/tracing.py patches this name)
 
 FORMATS = ("csv", "json")
 
@@ -105,10 +106,10 @@ class ExperimentReport:
 
 
 def _sample_matrix(n: int, samples: int, master_seed: int, base_stream: int) -> np.ndarray:
-    """Rows are independent uniform sequences; row i uses stream base_stream + i."""
+    """Row i is random_sequence(n, SeedSpec(master_seed, base_stream + i)) as ±1 symbols."""
     mat = np.empty((samples, n), dtype=np.int8)
     for i in range(samples):
-        mat[i] = random_sequence(n, SeedSpec(master_seed, base_stream + i)).to_array()
+        mat[i] = 1 - 2 * _random_bits(n, SeedSpec(master_seed, base_stream + i)).astype(np.int8)
     return mat
 
 

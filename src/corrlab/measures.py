@@ -13,8 +13,8 @@ log with exp, which fixes the base.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -24,6 +24,7 @@ from .errors import ResourceLimitError
 from .seqcore import BinarySequence, SeedSpec
 
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
+_BLOCK_ELEMENTS = 1 << 16  # product-matrix size per tuple block; fastest of 2^14..2^20
 
 
 @dataclass(frozen=True)
@@ -155,30 +156,54 @@ def correlation_sum(a: BinarySequence, t: ShiftTuple) -> int:
     return prod.length - 2 * prod.bits.bit_count()
 
 
+def _walk_ranges(steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Range of the walk along the last axis of a step array, as int32.
+
+    Steps are ±1; 0 steps are padding and leave the walk flat. The prefix sums
+    go to `out` (same shape as `steps`) when given, so a caller looping over
+    equal-sized inputs allocates them once; its dtype must hold ±length.
+    """
+    if out is None:
+        out = np.empty(steps.shape, dtype=np.int16 if steps.shape[-1] < 32000 else np.int32)
+    np.cumsum(steps, axis=-1, dtype=out.dtype, out=out)
+    hi = np.maximum(out.max(axis=-1), 0, dtype=np.int32)
+    return hi - np.minimum(out.min(axis=-1), 0, dtype=np.int32)
+
+
 def range_of_walk(steps: BinarySequence) -> int:
     """Max over all windows of |window sum| = (max - min) of the prefix-sum path."""
-    prefix = np.cumsum(steps.to_array(), dtype=np.int64)
-    hi = max(int(prefix.max()), 0)
-    lo = min(int(prefix.min()), 0)
-    return hi - lo
+    return int(_walk_ranges(steps.to_array()))
 
 
 # ---------------------------------------------------------------------------
 # exact and sampled measures
 
 
-def _cumsum_dtype(n: int):
-    return np.int16 if n < 32000 else np.int32
+def _best_tuple(arr: np.ndarray, tuples: Iterable[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """Largest walk range over a stream of offset tuples, with its first maximizer.
 
-
-def _range_for_offsets(arr: np.ndarray, offsets: Sequence[int]) -> int:
+    Tuples are taken in blocks that form the row axis of one product matrix.
+    The sequence is padded with n zeros, so every row has width n - 1 and the
+    steps past a tuple's product length are 0: each row's range is its tuple's.
+    """
     n = arr.shape[0]
-    length = n - offsets[-1]
-    prod = arr[:length].copy()
-    for u in offsets:
-        prod *= arr[u:u + length]
-    prefix = np.cumsum(prod, dtype=np.int32)
-    return max(int(prefix.max()), 0) - min(int(prefix.min()), 0)
+    padded = np.concatenate([arr, np.zeros(n, dtype=arr.dtype)])
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, n - 1)  # row u = a shifted by u
+    head = arr[:n - 1]
+    block = max(1, _BLOCK_ELEMENTS // n)
+    best, best_offsets = -1, None
+    stream = iter(tuples)
+    while chunk := list(itertools.islice(stream, block)):
+        offsets = np.array(chunk)
+        prod = shifted[offsets[:, 0]]
+        for column in offsets.T[1:]:
+            prod *= shifted[column]
+        prod *= head
+        ranges = _walk_ranges(prod)
+        i = int(ranges.argmax())
+        if ranges[i] > best:
+            best, best_offsets = int(ranges[i]), chunk[i]
+    return best, best_offsets
 
 
 def _window_for_offsets(arr: np.ndarray, offsets: Sequence[int]) -> tuple[int, int]:
@@ -215,13 +240,7 @@ def correlation_measure_exact(a: BinarySequence, r: int,
             f"exact enumeration needs ~{tuples * n:.2e} steps (> budget {work_budget:.0e}); "
             "use correlation_measure_sampled for a lower bound")
     arr = a.to_array()
-    best = -1
-    best_offsets = None
-    for offsets in colex_offsets(n, r - 1):
-        val = _range_for_offsets(arr, offsets)
-        if val > best:
-            best = val
-            best_offsets = offsets
+    best, best_offsets = _best_tuple(arr, colex_offsets(n, r - 1))
     window = _window_for_offsets(arr, best_offsets)
     return CorrelationResult(best, ShiftTuple(best_offsets), window, exact=True)
 
@@ -254,13 +273,7 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int,
         chosen = (colex_unrank(q, k) for q in ranks)
 
     arr = a.to_array()
-    best = -1
-    best_offsets = None
-    for offsets in chosen:
-        val = _range_for_offsets(arr, offsets)
-        if val > best:
-            best = val
-            best_offsets = offsets
+    best, best_offsets = _best_tuple(arr, chosen)
     window = _window_for_offsets(arr, best_offsets)
     return CorrelationResult(best, ShiftTuple(best_offsets), window, exact=False)
 
@@ -298,6 +311,9 @@ def normalized_ratio(a: BinarySequence, r: int,
 def _as_matrix(seqs) -> np.ndarray:
     if isinstance(seqs, np.ndarray):
         mat = seqs.astype(np.int8, copy=False)
+        # within [-1, 1] before the cast and nonzero after it leaves only ±1
+        if mat.size and not (seqs.min() >= -1 and seqs.max() <= 1 and mat.all()):
+            raise ValueError("matrix entries must be -1 or +1")
     else:
         mat = np.stack([s.to_array() for s in seqs])
     if mat.ndim != 2:
@@ -305,68 +321,36 @@ def _as_matrix(seqs) -> np.ndarray:
     return mat
 
 
-def _batch_ranges_chunk(mat: np.ndarray, offset_chunk: list[tuple[int, ...]],
-                        dtype) -> np.ndarray:
-    rows, n = mat.shape
-    prod = np.empty((rows, n - 1), dtype=np.int8)
-    cum = np.empty((rows, n - 1), dtype=dtype)
-    best = np.zeros(rows, dtype=np.int32)
-    for offsets in offset_chunk:
-        length = n - offsets[-1]
-        p = prod[:, :length]
-        c = cum[:, :length]
-        np.multiply(mat[:, :length], mat[:, offsets[0]:offsets[0] + length], out=p)
-        for u in offsets[1:]:
-            np.multiply(p, mat[:, u:u + length], out=p)
-        np.cumsum(p, axis=1, dtype=dtype, out=c)
-        hi = c.max(axis=1).astype(np.int32)
-        lo = c.min(axis=1).astype(np.int32)
-        np.maximum(hi, 0, out=hi)
-        np.minimum(lo, 0, out=lo)
-        hi -= lo
-        np.maximum(best, hi, out=best)
-    return best
-
-
 def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
     """Exact C_r value for every row of a ±1 matrix (or list of sequences).
 
-    The tuple enumeration may be partitioned across worker threads; the
-    maximum is reduced associatively, so results are independent of workers.
+    `workers` is accepted for interface stability; the tuples are enumerated
+    serially, and the result is the same for every value.
     """
     mat = _as_matrix(seqs)
-    n = mat.shape[1]
+    rows, n = mat.shape
     _check_order(n, r)
     if math.comb(n - 1, r - 1) > 10 ** 8:
         raise ResourceLimitError(
             f"batch kernel would enumerate {math.comb(n - 1, r - 1):.2e} tuples; "
             "use correlation_measure_sampled per sequence instead")
-    dtype = _cumsum_dtype(n)
-    offsets = list(colex_offsets(n, r - 1))
-    if workers <= 1 or len(offsets) < 2 * workers:
-        return _batch_ranges_chunk(mat, offsets, dtype)
-    chunk_size = -(-len(offsets) // (workers * 8))
-    chunks = [offsets[i:i + chunk_size] for i in range(0, len(offsets), chunk_size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda ch: _batch_ranges_chunk(mat, ch, dtype), chunks))
-    best = parts[0]
-    for part in parts[1:]:
-        np.maximum(best, part, out=best)
+    prod = np.empty((rows, n - 1), dtype=np.int8)
+    cum = np.empty((rows, n - 1), dtype=np.int16 if n < 32000 else np.int32)
+    best = np.zeros(rows, dtype=np.int32)
+    for offsets in colex_offsets(n, r - 1):
+        length = n - offsets[-1]
+        p = prod[:, :length]
+        np.multiply(mat[:, :length], mat[:, offsets[0]:offsets[0] + length], out=p)
+        for u in offsets[1:]:
+            np.multiply(p, mat[:, u:u + length], out=p)
+        np.maximum(best, _walk_ranges(p, out=cum[:, :length]), out=best)
     return best
 
 
 def range_values_batch(mat: np.ndarray, chunk_rows: int = 4096) -> np.ndarray:
     """Walk range for every row of a ±1 step matrix."""
     mat = _as_matrix(mat)
-    rows, n = mat.shape
-    dtype = _cumsum_dtype(n)
-    out = np.empty(rows, dtype=np.int32)
-    for start in range(0, rows, chunk_rows):
-        block = mat[start:start + chunk_rows]
-        cum = np.cumsum(block, axis=1, dtype=dtype)
-        hi = cum.max(axis=1).astype(np.int32)
-        lo = cum.min(axis=1).astype(np.int32)
-        np.maximum(hi, 0, out=hi)
-        np.minimum(lo, 0, out=lo)
-        out[start:start + block.shape[0]] = hi - lo
+    out = np.empty(mat.shape[0], dtype=np.int32)
+    for start in range(0, mat.shape[0], chunk_rows):
+        out[start:start + chunk_rows] = _walk_ranges(mat[start:start + chunk_rows])
     return out

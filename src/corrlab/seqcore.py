@@ -124,12 +124,16 @@ class SeedSpec:
         return SeedSpec(self.master_seed, stream_index)
 
 
+def _random_bits(n: int, seed: SeedSpec) -> np.ndarray:
+    """The n uniform 0/1 draws behind random_sequence (1 encodes the symbol -1)."""
+    return seed.generator().integers(0, 2, size=n, dtype=np.uint8)
+
+
 def random_sequence(n: int, seed: SeedSpec) -> BinarySequence:
     """Uniform random sequence: each symbol independent ±1 with probability 1/2."""
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
-    bits = seed.generator().integers(0, 2, size=n, dtype=np.uint8)
-    packed = np.packbits(bits, bitorder="little")
+    packed = np.packbits(_random_bits(n, seed), bitorder="little")
     return BinarySequence(n, int.from_bytes(packed.tobytes(), "little"))
 
 

@@ -181,6 +181,34 @@ class TestCliContract:
         assert code == 0
         assert '"master_seed": 777' in out
 
+    @pytest.mark.parametrize("env_seed,argv", [
+        ("abc", ["trend", "--n-grid", "64", "--samples", "2"]),
+        (None, ["bounds", "--check", "theoremC", "--exhaustive"]),
+        (None, ["bounds", "--check", "max", "--exhaustive"]),
+        (None, ["bounds", "--check", "theoremC"]),
+        (None, ["bounds", "--check", "welch", "--m", "1"]),
+        (None, ["oracle", "--check", "naive"]),
+        (None, ["trend", "--n-grid", "64", "--samples", "2", "--threads", "-3"]),
+    ])
+    def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch,
+                                                 env_seed, argv):
+        if env_seed is not None:
+            monkeypatch.setenv("CORRLAB_SEED", env_seed)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("sub", ["measure", "scan"])
+    def test_failure_on_a_later_sequence_writes_nothing(self, capsys, tmp_path, sub):
+        path = tmp_path / "mixed.txt"
+        path.write_text("+-+-+-\n+-+\n")  # order 4 fits the first line only
+        flag = "--order" if sub == "measure" else "--orders"
+        code, out, err = run_cli(capsys, sub, "--file", str(path), flag, "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("sub", ["measure", "scan", "expect", "trend", "bounds",
                                      "oracle", "tail", "report"])
     def test_help_available(self, capsys, sub):

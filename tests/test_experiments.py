@@ -5,6 +5,13 @@ import pytest
 from corrlab import experiments as xp
 from corrlab import measures as ms
 from corrlab import oracles as orc
+from corrlab import seqcore as sc
+
+
+def test_sample_rows_are_random_sequence_draws():
+    mat = xp._sample_matrix(37, 6, master_seed=11, base_stream=4)
+    for i, row in enumerate(mat):
+        assert row.tolist() == list(sc.random_sequence(37, sc.SeedSpec(11, 4 + i)).symbols())
 
 
 class TestConfig:

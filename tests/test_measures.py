@@ -168,15 +168,20 @@ class TestCorrelationMeasureExact:
 
     def test_witness_is_first_colex_maximizer(self):
         rng = np.random.default_rng(41)
-        for _ in range(30):
-            n = int(rng.integers(5, 14))
-            seq = random_seq(rng, n)
+        seqs = [random_seq(rng, int(rng.integers(5, 14))) for _ in range(30)]
+        # n=128 has 8,001 tuples, enumerated in several blocks
+        seqs += [sc.random_sequence(128, sc.SeedSpec(s, 0)) for s in (0, 21)]
+        maximizers = []
+        for seq in seqs:
             res = ms.correlation_measure_exact(seq, 3)
-            arr = seq.to_array()
-            for offs in ms.colex_offsets(n, 2):
-                if offs == res.witness_tuple.offsets:
-                    break
-                assert ms._range_for_offsets(arr, offs) < res.value
+            ranges = [ms.range_of_walk(ms.product_sequence(seq, ms.ShiftTuple(offs)))
+                      for offs in ms.colex_offsets(seq.length, 2)]
+            assert res.value == max(ranges)
+            maximizers.append([q for q, v in enumerate(ranges) if v == res.value])
+            assert ms.colex_rank(res.witness_tuple.offsets) == maximizers[-1][0]
+        # seed 0 reaches its maximum in more than one block
+        block = ms._BLOCK_ELEMENTS // 128
+        assert len({q // block for q in maximizers[-2]}) > 1
 
 
 class TestSymmetries:
@@ -305,6 +310,18 @@ class TestBatchKernels:
         base = ms.exact_values_batch(mat, 3, workers=1)
         for workers in (2, 5, 8):
             assert np.array_equal(base, ms.exact_values_batch(mat, 3, workers=workers))
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0, 1, 1, 0, 1]] * 3),
+        np.full((2, 6), 3),
+        np.array([[1.0, -1.0, 0.5, 1.0]]),
+        np.array([[1, 257, 1, -1]]),
+    ])
+    def test_rejects_entries_other_than_pm1(self, bad):
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            ms.exact_values_batch(bad, 2)
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            ms.range_values_batch(bad)
 
     def test_range_batch(self):
         rng = np.random.default_rng(67)

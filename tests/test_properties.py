@@ -1,0 +1,65 @@
+"""Property tests tying the fast kernels to the literal oracles.
+
+Inputs are bounded (n <= 14, r <= 4) and the search is derandomized, so the
+module runs in a few seconds and every run draws the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrlab import measures as ms
+from corrlab import oracles as orc
+from corrlab import seqcore as sc
+
+PROPERTY = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+@st.composite
+def sequences(draw, min_n=1, max_n=14):
+    n = draw(st.integers(min_n, max_n))
+    return sc.BinarySequence(n, draw(st.integers(0, (1 << n) - 1)))
+
+
+@st.composite
+def sequence_and_order(draw):
+    seq = draw(sequences(min_n=2))
+    return seq, draw(st.integers(2, min(4, seq.length)))
+
+
+@PROPERTY
+@given(sequence_and_order())
+def test_exact_equals_naive_and_replays(case):
+    seq, r = case
+    res = ms.correlation_measure_exact(seq, r)
+    assert res.value == orc.naive_correlation_measure(seq, r)
+    assert ms.replay_witness(seq, res) == res.value
+
+
+@PROPERTY
+@given(st.integers(2, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(2, min(4, n)),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))))
+def test_batch_rows_equal_naive(case):
+    n, r, payloads = case
+    seqs = [sc.BinarySequence(n, bits) for bits in payloads]
+    values = ms.exact_values_batch(np.stack([s.to_array() for s in seqs]), r)
+    assert list(values) == [orc.naive_correlation_measure(s, r) for s in seqs]
+
+
+@PROPERTY
+@given(st.lists(sequences(), min_size=1, max_size=6))
+def test_ranges_equal_naive(seqs):
+    want = [orc.naive_range(s) for s in seqs]
+    assert [ms.range_of_walk(s) for s in seqs] == want
+    for s, w in zip(seqs, want):
+        assert ms.range_values_batch(s.to_array()[None, :])[0] == w
+
+
+@PROPERTY
+@given(sequence_and_order(), st.integers(1, 40), st.integers(0, 2 ** 32))
+def test_sampled_replays_and_never_exceeds_exact(case, budget, seed):
+    seq, r = case
+    sampled = ms.correlation_measure_sampled(seq, r, budget, sc.SeedSpec(seed, 0))
+    assert ms.replay_witness(seq, sampled) == sampled.value
+    assert sampled.value <= ms.correlation_measure_exact(seq, r).value
