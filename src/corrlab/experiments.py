@@ -394,9 +394,17 @@ def parse_report(text: str, fmt: str) -> ExperimentReport:
     """Inverse of emit_report (timing, when present, is not restored)."""
     if fmt == "json":
         payload = json.loads(text)
-        rows = [StatRow(**row) for row in payload["rows"]]
-        return ExperimentReport(payload["experiment"], payload["config"], rows,
-                                list(payload.get("notes", [])))
+        if not isinstance(payload, dict):
+            raise ValueError("a JSON report must be an object")
+        payload.setdefault("notes", [])
+        for key, kind in (("experiment", str), ("config", dict), ("rows", list), ("notes", list)):
+            if not isinstance(payload.get(key), kind):
+                raise ValueError(f"JSON report field {key!r} is missing or not a {kind.__name__}")
+        try:
+            rows = [StatRow(**row) for row in payload["rows"]]
+        except TypeError as exc:  # a row that is not an object, or lacks or adds a field
+            raise ValueError(f"invalid JSON report row: {exc}") from None
+        return ExperimentReport(payload["experiment"], payload["config"], rows, payload["notes"])
     if fmt == "csv":
         experiment = ""
         config: dict = {}

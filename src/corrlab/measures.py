@@ -25,6 +25,7 @@ from .seqcore import BinarySequence, SeedSpec
 
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
 _BLOCK_ELEMENTS = 1 << 16  # product-matrix size per tuple block; fastest of 2^14..2^20
+_RANGE_ROWS = 4096  # rows per range_values_batch step; bounds its prefix-sum buffer
 
 
 @dataclass(frozen=True)
@@ -156,18 +157,23 @@ def correlation_sum(a: BinarySequence, t: ShiftTuple) -> int:
     return prod.length - 2 * prod.bits.bit_count()
 
 
-def _walk_ranges(steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _product(a: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
+    """Steps a_j a_{j+u_2} ... a_{j+u_r} along the last axis, of length n - u_r."""
+    length = a.shape[-1] - offsets[-1]
+    prod = a[..., :length] * a[..., offsets[0]:offsets[0] + length]
+    for u in offsets[1:]:
+        prod *= a[..., u:u + length]
+    return prod
+
+
+def _walk_ranges(steps: np.ndarray) -> np.ndarray:
     """Range of the walk along the last axis of a step array, as int32.
 
-    Steps are ±1; 0 steps are padding and leave the walk flat. The prefix sums
-    go to `out` (same shape as `steps`) when given, so a caller looping over
-    equal-sized inputs allocates them once; its dtype must hold ±length.
-    """
-    if out is None:
-        out = np.empty(steps.shape, dtype=np.int16 if steps.shape[-1] < 32000 else np.int32)
-    np.cumsum(steps, axis=-1, dtype=out.dtype, out=out)
-    hi = np.maximum(out.max(axis=-1), 0, dtype=np.int32)
-    return hi - np.minimum(out.min(axis=-1), 0, dtype=np.int32)
+    Steps are ±1; 0 steps are padding and leave the walk flat. Prefix sums are
+    int16 while that type holds ±length, int32 beyond."""
+    cum = np.cumsum(steps, axis=-1, dtype=np.int16 if steps.shape[-1] < 32000 else np.int32)
+    hi = np.maximum(cum.max(axis=-1), 0, dtype=np.int32)
+    return hi - np.minimum(cum.min(axis=-1), 0, dtype=np.int32)
 
 
 def range_of_walk(steps: BinarySequence) -> int:
@@ -208,13 +214,7 @@ def _best_tuple(arr: np.ndarray, tuples: Iterable[tuple[int, ...]]) -> tuple[int
 
 def _window_for_offsets(arr: np.ndarray, offsets: Sequence[int]) -> tuple[int, int]:
     """Earliest window (m1, m2) whose sum realizes the prefix range."""
-    n = arr.shape[0]
-    length = n - offsets[-1]
-    prod = arr[:length].copy()
-    for u in offsets:
-        prod *= arr[u:u + length]
-    prefix = np.zeros(length + 1, dtype=np.int32)
-    np.cumsum(prod, dtype=np.int32, out=prefix[1:])
+    prefix = np.cumsum(np.concatenate([[0], _product(arr, offsets)]))  # the walk from 0
     a = int(prefix.argmax())
     b = int(prefix.argmin())
     return min(a, b) + 1, max(a, b)
@@ -334,23 +334,16 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
         raise ResourceLimitError(
             f"batch kernel would enumerate {math.comb(n - 1, r - 1):.2e} tuples; "
             "use correlation_measure_sampled per sequence instead")
-    prod = np.empty((rows, n - 1), dtype=np.int8)
-    cum = np.empty((rows, n - 1), dtype=np.int16 if n < 32000 else np.int32)
     best = np.zeros(rows, dtype=np.int32)
     for offsets in colex_offsets(n, r - 1):
-        length = n - offsets[-1]
-        p = prod[:, :length]
-        np.multiply(mat[:, :length], mat[:, offsets[0]:offsets[0] + length], out=p)
-        for u in offsets[1:]:
-            np.multiply(p, mat[:, u:u + length], out=p)
-        np.maximum(best, _walk_ranges(p, out=cum[:, :length]), out=best)
+        np.maximum(best, _walk_ranges(_product(mat, offsets)), out=best)
     return best
 
 
-def range_values_batch(mat: np.ndarray, chunk_rows: int = 4096) -> np.ndarray:
+def range_values_batch(mat: np.ndarray) -> np.ndarray:
     """Walk range for every row of a ±1 step matrix."""
     mat = _as_matrix(mat)
     out = np.empty(mat.shape[0], dtype=np.int32)
-    for start in range(0, mat.shape[0], chunk_rows):
-        out[start:start + chunk_rows] = _walk_ranges(mat[start:start + chunk_rows])
+    for start in range(0, mat.shape[0], _RANGE_ROWS):
+        out[start:start + _RANGE_ROWS] = _walk_ranges(mat[start:start + _RANGE_ROWS])
     return out

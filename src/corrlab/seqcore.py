@@ -147,32 +147,30 @@ def alternating(n: int) -> BinarySequence:
 
 
 def all_ones(n: int) -> BinarySequence:
-    if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n}")
-    return BinarySequence(n, 0)
+    return BinarySequence(n, 0)  # which rejects n < 1
 
 
-def enumerate_all(n: int, limit: int = EXHAUSTIVE_LIMIT) -> Iterator[BinarySequence]:
-    """All 2^n sequences, in the integer order of their bit encodings."""
+def _check_exhaustive(n: int) -> None:
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
-    if n > limit:
+    if n > EXHAUSTIVE_LIMIT:
         raise ResourceLimitError(
-            f"full enumeration of 2^{n} sequences exceeds the limit n <= {limit}")
+            f"full enumeration of 2^{n} sequences exceeds the limit n <= {EXHAUSTIVE_LIMIT}")
+
+
+def enumerate_all(n: int) -> Iterator[BinarySequence]:
+    """All 2^n sequences, in the integer order of their bit encodings."""
+    _check_exhaustive(n)
     return (BinarySequence(n, bits) for bits in range(1 << n))
 
 
-def all_sequences_matrix(n: int, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarray:
+def all_sequences_matrix(n: int) -> np.ndarray:
     """(2^n, n) int8 matrix of every sequence, rows in enumeration order."""
-    if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n}")
-    if n > limit:
-        raise ResourceLimitError(
-            f"full enumeration of 2^{n} sequences exceeds the limit n <= {limit}")
-    counters = np.arange(1 << n, dtype=np.int64)
-    mat = np.empty((1 << n, n), dtype=np.int8)
-    for j in range(n):
-        mat[:, j] = 1 - 2 * ((counters >> j) & 1)
+    _check_exhaustive(n)
+    counters = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)  # bytes of i, low first
+    mat = np.unpackbits(counters, axis=1, count=n, bitorder="little").view(np.int8)
+    mat *= -2
+    mat += 1
     return mat
 
 

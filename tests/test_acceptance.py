@@ -3,12 +3,13 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The four Monte Carlo experiments come from session fixtures that hold the
 workers=1 and workers=8 runs (criterion 12 compares their emissions byte for
-byte).
+byte). Criteria 8-12, the only users of those fixtures, are marked `slow`.
 """
 
 from itertools import product
 
 import numpy as np
+import pytest
 
 from corrlab import bounds as bd
 from corrlab import experiments as xp
@@ -128,6 +129,7 @@ def test_criterion_07_moment_bound():
                 "n in 8..14, p in {1,2}, all valid h", ok)
 
 
+@pytest.mark.slow
 def test_criterion_08_convergence_trend(trend_reports):
     report = trend_reports[0]
     means = report.values("ratio_mean")
@@ -138,6 +140,7 @@ def test_criterion_08_convergence_trend(trend_reports):
              increasing and in_band and len(means) == 3)
 
 
+@pytest.mark.slow
 def test_criterion_09_uniform_upper(uniform_reports):
     report = uniform_reports[0]
     freq = report.row("uniform_event_freq").value
@@ -145,6 +148,7 @@ def test_criterion_09_uniform_upper(uniform_reports):
                 f"has frequency {freq:.3f} >= 0.95", freq >= 0.95)
 
 
+@pytest.mark.slow
 def test_criterion_10_concentration(concentration_reports):
     report = concentration_reports[0]
     ok = all(row.verdict == "pass" for row in report.rows
@@ -153,6 +157,7 @@ def test_criterion_10_concentration(concentration_reports):
                  "{1.5, 2, 2.5} stays under 2 exp(-theta^2/(2 r^2 n)) + 0.02", ok)
 
 
+@pytest.mark.slow
 def test_criterion_11_range_tail(range_tail_reports):
     report = range_tail_reports[0]
     ok = all(row.verdict == "pass" for row in report.rows
@@ -161,6 +166,7 @@ def test_criterion_11_range_tail(range_tail_reports):
                  "under (log n) exp(-lambda^2/(2n)) + 0.01 at n=4096", ok)
 
 
+@pytest.mark.slow
 def test_criterion_12_determinism(trend_reports, uniform_reports,
                                   concentration_reports, range_tail_reports):
     ok = True

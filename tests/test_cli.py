@@ -189,11 +189,18 @@ class TestCliContract:
         (None, ["bounds", "--check", "welch", "--m", "1"]),
         (None, ["oracle", "--check", "naive"]),
         (None, ["trend", "--n-grid", "64", "--samples", "2", "--threads", "-3"]),
+        (None, ["report", "--input", "{}"]),
+        (None, ["report", "--input", "[1, 2]"]),
+        (None, ["report", "--input", '{"experiment": "x", "config": {}, "rows": [{"n": 1}]}']),
     ])
-    def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch,
+    def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):
         if env_seed is not None:
             monkeypatch.setenv("CORRLAB_SEED", env_seed)
+        if argv[0] == "report":  # the JSON text goes to a file
+            path = tmp_path / "report.json"
+            path.write_text(argv[2])
+            argv = [*argv[:2], str(path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -329,6 +329,17 @@ class TestBatchKernels:
         got = ms.range_values_batch(np.stack([s.to_array() for s in seqs]))
         assert [ms.range_of_walk(s) for s in seqs] == list(got)
 
+    def test_matches_naive_values_all(self):
+        for n in range(2, 11):
+            mat = sc.all_sequences_matrix(n)
+            for r in range(2, min(4, n) + 1):
+                assert np.array_equal(ms.exact_values_batch(mat, r), orc.naive_values_all(n, r))
+
+    def test_long_walk_uses_wide_prefix_sums(self):
+        # 40,000 steps of +1 end at 40,000, which an int16 prefix sum would wrap
+        assert ms.range_of_walk(sc.all_ones(40000)) == 40000
+        assert list(ms.range_values_batch(np.ones((2, 40000), dtype=np.int8))) == [40000] * 2
+
     def test_sampled_never_exceeds_exact_batch(self):
         rng = np.random.default_rng(71)
         for _ in range(10):

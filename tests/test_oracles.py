@@ -169,6 +169,16 @@ class TestExactTail:
                 if abs(ms.correlation_sum(seq, u)) >= lam)
             assert orc.exact_tail(n, u, lam) == Fraction(hits, 1 << n)
 
+    def test_matches_enumeration_for_every_tuple(self):
+        for n in range(2, 13):
+            for k in range(1, min(3, n - 1) + 1):
+                for offsets in ms.colex_offsets(n, k):
+                    u = ms.ShiftTuple(offsets)
+                    sums = np.abs(orc._correlation_sums_all(n, u))
+                    for lam in (0, 1, 2.5, n / 2, n):
+                        want = Fraction(int((sums >= lam).sum()), 1 << n)
+                        assert orc.exact_tail(n, u, lam) == want, (n, offsets, lam)
+
     def test_hoeffding_consistency(self):
         for n in (10, 14, 18):
             for u2 in (1, 3):

@@ -103,9 +103,10 @@ class TestEnumeration:
             sc.all_sequences_matrix(25)
 
     def test_matrix_matches_stream(self):
-        mat = sc.all_sequences_matrix(6)
-        for i, seq in enumerate(sc.enumerate_all(6)):
-            assert np.array_equal(mat[i], seq.to_array())
+        for n in (1, 7, 8, 9, 16, 17):  # on and across the byte boundaries of a row's bits
+            mat = sc.all_sequences_matrix(n)
+            assert mat.dtype == np.int8
+            assert np.array_equal(mat, np.stack([s.to_array() for s in sc.enumerate_all(n)]))
 
 
 class TestTextIO:
