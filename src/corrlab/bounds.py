@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .seqcore import BinarySequence, all_sequences_matrix
 from . import measures
@@ -91,37 +92,27 @@ class VectorFamily:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.int8)
-        if self.matrix.ndim != 2:
+        raw = np.asarray(self.matrix)
+        if raw.ndim != 2:
             raise ValueError("vector family needs a 2-d matrix")
-        m, width = self.matrix.shape
+        m, width = raw.shape
         if width != self.ell or self.ell < 1:
             raise ValueError(f"vectors have length {width}, declared ell={self.ell}")
         if m < 2:
             raise ValueError(f"a vector family needs m >= 2 vectors, got {m}")
-        if not np.all(np.abs(self.matrix) == 1):
+        if not np.all((raw == 1) | (raw == -1)):  # before the cast, which wraps 255 to -1
             raise ValueError("vector entries must be ±1")
+        self.matrix = raw.astype(np.int8)
 
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
 
-    def packed_rows(self) -> list[int]:
-        """Each row as a bit int (bit set where the entry is -1)."""
-        neg = (self.matrix == -1).astype(np.uint8)
-        return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                for row in neg]
-
 
 def max_offdiag_scalar(fam: VectorFamily) -> int:
-    """max_{i != i'} |<v_i, v_i'>| over the family, via XOR/popcount."""
-    rows = fam.packed_rows()
-    ell = fam.ell
-    best = 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            best = max(best, abs(ell - 2 * (rows[i] ^ rows[j]).bit_count()))
-    return best
+    """max_{i != i'} |<v_i, v_i'>| over the family, one Gram-matrix row at a time."""
+    vecs = fam.matrix.astype(np.int32)
+    return max(int(np.abs(vecs[i + 1:] @ vecs[i]).max()) for i in range(fam.m - 1))
 
 
 @dataclass
@@ -142,72 +133,75 @@ class BoundReport:
         }
 
 
+def _report(bound: float, achieved: int, **construction) -> BoundReport:
+    """A minimum-value certificate; every bound here is strict."""
+    return BoundReport(bound_value=bound, achieved_value=float(achieved),
+                       satisfied=achieved > bound, construction=construction)
+
+
+def _exhaustive_worst(n: int, orders: Sequence[int], workers: int) -> list[int]:
+    """Min over all 2^n sequences of max(C_r for r in orders[:i+1]), for each i."""
+    mat = all_sequences_matrix(n)
+    running = None
+    worst = []
+    for r in orders:
+        values = measures.exact_values_batch(mat, r, workers=workers)
+        running = values if running is None else np.maximum(running, values, out=running)
+        worst.append(int(running.min()))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # even-order lower bound C_{2r} > sqrt(floor(n/(2r+1))/2)
+
+
+def _blocks(n: int, r: int) -> tuple[int, int]:
+    """Vector length ell = floor(n/(2r+1)) and block count m = floor((n-ell+1)/r)."""
+    ell = n // (2 * r + 1)
+    return ell, (n - ell + 1) // r if ell >= 1 else 0
+
+
+def _check_even_args(n: int, r: int) -> None:
+    if r < 1 or 2 * r > n:
+        raise ValueError(f"need 1 <= r <= n/2, got r={r}, n={n}")
 
 
 def theoremC_construction(a: BinarySequence, r: int) -> VectorFamily:
     """Vectors v_{i,j} = prod of r consecutive shifted symbols over disjoint blocks.
 
-    Uses ell = floor(n/(2r+1)) and m = floor((n-ell+1)/r) blocks
-    S_i = {(i-1)r, ..., ir-1}; pairwise scalar products of the v_i are
-    order-2r correlation sums of the sequence.
+    Blocks S_i = {(i-1)r, ..., ir-1} for i = 1..m, with (ell, m) from `_blocks`;
+    pairwise scalar products of the v_i are order-2r correlation sums.
     """
-    n = a.length
     if r < 1:
         raise ValueError(f"subset size r must be >= 1, got {r}")
-    ell = n // (2 * r + 1)
+    ell, m = _blocks(a.length, r)
     if ell < 1:
-        raise ValueError(f"construction is empty for n={n} < 2r+1={2 * r + 1}")
-    m = (n - ell + 1) // r
-    arr = a.to_array()
-    mat = np.empty((m, ell), dtype=np.int8)
-    for i in range(m):
-        base = i * r
-        v = arr[base:base + ell].copy()
-        for x in range(base + 1, base + r):
-            v *= arr[x:x + ell]
-        mat[i] = v
-    return VectorFamily(ell, mat)
+        raise ValueError(f"construction is empty for n={a.length} < 2r+1={2 * r + 1}")
+    windows = sliding_window_view(a.to_array(), ell)[:m * r]  # row x is a_x .. a_{x+ell-1}
+    return VectorFamily(ell, windows.reshape(m, r, ell).prod(axis=1, dtype=np.int8))
 
 
 def _even_bound(n: int, r: int) -> float:
-    return math.sqrt(0.5 * (n // (2 * r + 1)))
+    return math.sqrt(0.5 * _blocks(n, r)[0])
 
 
 def certify_theoremC(a: BinarySequence, r: int,
                      work_budget: int = measures.DEFAULT_WORK_BUDGET) -> BoundReport:
     """Check C_{2r}(a) > sqrt(floor(n/(2r+1))/2) (strict; must hold for every input)."""
     n = a.length
-    if r < 1 or 2 * r > n:
-        raise ValueError(f"need 1 <= r <= n/2, got r={r}, n={n}")
-    bound = _even_bound(n, r)
+    _check_even_args(n, r)
     achieved = measures.correlation_measure_exact(a, 2 * r, work_budget=work_budget).value
-    ell = n // (2 * r + 1)
-    return BoundReport(
-        bound_value=bound,
-        achieved_value=float(achieved),
-        satisfied=achieved > bound,
-        construction={"kind": "even_order", "n": n, "r": r, "ell": ell,
-                      "m": (n - ell + 1) // r if ell >= 1 else 0,
-                      "blocks": "consecutive"},
-    )
+    ell, m = _blocks(n, r)
+    return _report(_even_bound(n, r), achieved, kind="even_order", n=n, r=r, ell=ell,
+                   m=m, blocks="consecutive")
 
 
 def certify_theoremC_all(n: int, r: int, workers: int = 1) -> BoundReport:
     """Exhaustive worst case of the even-order bound over all 2^n sequences."""
-    if r < 1 or 2 * r > n:
-        raise ValueError(f"need 1 <= r <= n/2, got r={r}, n={n}")
-    values = measures.exact_values_batch(all_sequences_matrix(n), 2 * r, workers=workers)
-    worst = int(values.min())
-    bound = _even_bound(n, r)
-    return BoundReport(
-        bound_value=bound,
-        achieved_value=float(worst),
-        satisfied=worst > bound,
-        construction={"kind": "even_order_exhaustive", "n": n, "r": r,
-                      "sequences": 1 << n},
-    )
+    _check_even_args(n, r)
+    [worst] = _exhaustive_worst(n, [2 * r], workers)
+    return _report(_even_bound(n, r), worst, kind="even_order_exhaustive", n=n, r=r,
+                   sequences=1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -231,47 +225,27 @@ def certify_theorem_max(a: BinarySequence, s: int,
     achieved = max(
         measures.correlation_measure_exact(a, 2 * k, work_budget=work_budget).value
         for k in range(1, s + 1))
-    bound = _max_bound(n, s)
-    return BoundReport(
-        bound_value=bound,
-        achieved_value=float(achieved),
-        satisfied=achieved > bound,
-        construction={"kind": "max_even_orders", "n": n, "s": s,
-                      "orders": [2 * k for k in range(1, s + 1)]},
-    )
+    return _report(_max_bound(n, s), achieved, kind="max_even_orders", n=n, s=s,
+                   orders=[2 * k for k in range(1, s + 1)])
 
 
 def certify_theorem_max_all(n: int, s_values: Sequence[int] | None = None,
                             workers: int = 1) -> list[BoundReport]:
     """Exhaustive worst case of the max-of-even-orders bound, one report per s.
 
-    Orders are scanned once: the per-sequence running maximum over
-    C_2, ..., C_{2s} is reused as s grows.
+    Orders C_2, ..., C_{2 max(s)} are scanned once, with a running
+    per-sequence maximum, so every s reads off its own prefix.
     """
     if s_values is None:
         s_values = range(1, n // 3 + 1)
     s_values = sorted(set(int(s) for s in s_values))
     for s in s_values:
         _check_max_args(n, s)
-    mat = all_sequences_matrix(n)
-    reports = []
-    running = None
-    done = 0
-    for s in s_values:
-        for k in range(done + 1, s + 1):
-            vals = measures.exact_values_batch(mat, 2 * k, workers=workers)
-            running = vals if running is None else np.maximum(running, vals)
-        done = s
-        worst = int(running.min())
-        bound = _max_bound(n, s)
-        reports.append(BoundReport(
-            bound_value=bound,
-            achieved_value=float(worst),
-            satisfied=worst > bound,
-            construction={"kind": "max_even_orders_exhaustive", "n": n, "s": s,
-                          "sequences": 1 << n},
-        ))
-    return reports
+    if not s_values:
+        return []
+    worst = _exhaustive_worst(n, [2 * k for k in range(1, s_values[-1] + 1)], workers)
+    return [_report(_max_bound(n, s), worst[s - 1], kind="max_even_orders_exhaustive",
+                    n=n, s=s, sequences=1 << n) for s in s_values]
 
 
 def f_ratio(n: int, s: int):

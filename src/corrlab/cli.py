@@ -49,8 +49,10 @@ def _parse_float_list(text: str) -> list[float]:
 def _parse_orders(text: str) -> list[int]:
     """Either a single order '3' or an inclusive span '2..5'."""
     if ".." in text:
-        lo, hi = text.split("..", maxsplit=1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(tok) for tok in text.split("..", maxsplit=1))
+        if hi < lo:
+            raise ValueError(f"order span {text!r} is empty")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
@@ -118,6 +120,8 @@ def _cmd_bounds(args) -> int:
     # every report is built before the header, so a bad flag writes nothing
     if args.check != "welch" and args.exhaustive and args.n is None:
         raise ValueError(f"--check {args.check} --exhaustive needs --n")
+    if args.check == "welch" and args.families < 1:
+        raise ValueError(f"--families must be >= 1, got {args.families}")
     if args.check == "theoremC":
         header = {"command": "bounds", "check": "theoremC", "n": args.n,
                   "r": args.r, "exhaustive": bool(args.exhaustive)}
@@ -350,7 +354,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse has printed usage or help
         return int(exc.code or 0)
-    except (ParseError, ResourceLimitError, ValueError, OSError) as exc:
+    except (ParseError, ResourceLimitError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Binary ±1 sequences: bit-packed representation, seeded generation, enumeration, text I/O.
 
 A sequence (a_1, ..., a_n) over {-1, +1} is stored as a Python integer whose
-bit j encodes a_{j+1} = (-1)^bit. Symbol products then become XOR and window
-sums become popcounts, which is what the correlation kernels rely on.
+bit j encodes a_{j+1} = (-1)^bit. Symbol products are then XOR and window sums
+popcounts (the bit path of `product_sequence`, `correlation_sum` and
+`replay_witness`); the correlation kernels run on the int8 `to_array` view.
 """
 
 from __future__ import annotations

@@ -117,6 +117,28 @@ class TestVectorFamily:
         with pytest.raises(ValueError):
             bd.VectorFamily(4, np.ones((2, 3), dtype=np.int8))
 
+    @pytest.mark.parametrize("mat", [
+        np.array([[257, 1], [1, 1]]), np.array([[-255, 1], [1, 1]]),
+        np.array([[1.5, 1], [1, 1]]), np.array([[255, 1], [1, 1]], dtype=np.uint8)])
+    def test_rejects_values_that_wrap_to_pm1(self, mat):
+        # each of these becomes ±1 under an int8 cast
+        with pytest.raises(ValueError, match="±1"):
+            bd.VectorFamily(2, mat)
+
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(11)
+        families = [np.array([[1, -1, 1], [-1, 1, -1]], dtype=np.int8)]  # v and -v
+        for m in (2, 3, 17, 80):
+            ell = int(rng.integers(1, 40))
+            mat = 1 - 2 * rng.integers(0, 2, size=(m, ell)).astype(np.int8)
+            families.append(mat)
+            families.append(np.vstack([mat, -mat[:1]]))  # holds v and -v
+        for mat in families:
+            rows = [[int(x) for x in row] for row in mat]
+            want = max(abs(sum(x * y for x, y in zip(rows[i], rows[j])))
+                       for i in range(len(rows)) for j in range(len(rows)) if i != j)
+            assert bd.max_offdiag_scalar(bd.VectorFamily(mat.shape[1], mat)) == want
+
     def test_welch_dominance_random(self):
         rng = np.random.default_rng(5)
         checked = 0
@@ -146,6 +168,22 @@ class TestEvenOrderCertificate:
         fam = bd.theoremC_construction(sc.all_ones(15), 2)
         assert fam.ell == 3 and fam.m == 6
         assert bd.max_offdiag_scalar(fam) == 3
+
+    def test_construction_matches_block_products(self):
+        rng = np.random.default_rng(13)
+        for n in range(1, 41):
+            seq = sc.random_sequence(n, sc.SeedSpec(int(rng.integers(0, 2 ** 32)), 0))
+            a = seq.symbols()
+            for r in (1, 2, 3):
+                ell = n // (2 * r + 1)
+                if ell < 1:
+                    continue
+                m = (n - ell + 1) // r
+                want = [[math.prod(a[x + j] for x in range(i * r, i * r + r))
+                         for j in range(ell)] for i in range(m)]
+                fam = bd.theoremC_construction(seq, r)
+                assert (fam.ell, fam.m) == (ell, m)
+                assert fam.matrix.tolist() == want
 
     def test_construction_empty(self):
         with pytest.raises(ValueError):
@@ -179,6 +217,13 @@ class TestEvenOrderCertificate:
         assert rep.satisfied
         assert rep.achieved_value >= 2  # integer measure above sqrt(floor(10/3)/2)
 
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_exhaustive_is_min_of_single_certificates(self, n):
+        seqs = list(sc.enumerate_all(n))
+        for r in (1, 2):
+            want = min(bd.certify_theoremC(seq, r).achieved_value for seq in seqs)
+            assert bd.certify_theoremC_all(n, r).achieved_value == want
+
 
 class TestMaxCertificate:
     def test_lower_bound_trivial(self):
@@ -200,6 +245,20 @@ class TestMaxCertificate:
         reports = bd.certify_theorem_max_all(9)
         assert [r.construction["s"] for r in reports] == [1, 2, 3]
         assert all(r.satisfied for r in reports)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_exhaustive_is_min_of_single_certificates(self, n):
+        seqs = list(sc.enumerate_all(n))
+        reports = bd.certify_theorem_max_all(n)
+        assert [rep.construction["s"] for rep in reports] == list(range(1, n // 3 + 1))
+        for rep in reports:
+            s = rep.construction["s"]
+            want = min(bd.certify_theorem_max(seq, s).achieved_value for seq in seqs)
+            assert rep.achieved_value == want
+
+    def test_exhaustive_s_values_are_a_set(self):
+        assert bd.certify_theorem_max_all(9, [3, 1, 3]) == bd.certify_theorem_max_all(9, [1, 3])
+        assert bd.certify_theorem_max_all(9, []) == []
 
     def test_limit_constant_documented(self):
         assert bd.MAX_THEOREM_FLOOR == pytest.approx(1 / 9)
@@ -244,3 +303,8 @@ class TestBoundReport:
                                 "construction"}
         import json
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_equality_is_not_enough(self):
+        # the minimum-value bounds are strict
+        assert not bd._report(2.0, 2, kind="x").satisfied
+        assert bd._report(2.0, 3, kind="x").satisfied

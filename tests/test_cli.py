@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from corrlab import cli
+from corrlab import cli, experiments
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,32 @@ class TestBounds:
         reports = [json.loads(ln) for ln in out.strip().splitlines()[1:]]
         assert len(reports) == 4
         assert all(rep["satisfied"] for rep in reports)
+
+    def test_stdout_bytes_pinned(self, capsys, tmp_path):
+        # README command lines plus per-sequence certificates on a fixed file;
+        # any change to a bound, value, key order or float format moves a digest
+        path = tmp_path / "three.txt"
+        path.write_text("+-++-+---++-+-+++--+\n++--+-+-+++---+-\n"
+                        "+++-++--+-+--+-++++-+---\n")
+        cases = [
+            (["--check", "theoremC", "--n", "14", "--r", "1", "--exhaustive"],
+             "e6df7e5aef0d6889e905b201437d457c6f71af2e5db34c906cdb4b7a8602260c"),
+            (["--check", "max", "--n", "12", "--s", "2", "--exhaustive"],
+             "666430ac445284515880e8fe31ea9bf6733cf486edfc53131de90cb213792170"),
+            (["--check", "welch", "--ell", "16", "--m", "48", "--k", "2",
+              "--families", "100", "--seed", "3"],
+             "e92715d9651b414189e42d99b6d67efac1027b6216266422ff7f2b3f782bf8a2"),
+            (["--check", "theoremC", "--r", "1", "--file", str(path)],
+             "688c22e59c4948bff83c0848735268f56932dd6678808d7a0fc7bf6b39f02545"),
+            (["--check", "theoremC", "--r", "2", "--file", str(path)],
+             "a1284639661c642bc9f1c78b477a1f470cd05ffe47f4a523078f07c7c4206587"),
+            (["--check", "max", "--s", "2", "--file", str(path)],
+             "c8d5086105f9b3b27e06037b9d5f76e991ca28a8600494a40ef81ddeb7a9de87"),
+        ]
+        for argv, digest in cases:
+            code, out, _ = run_cli(capsys, "bounds", *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 class TestOracle:
@@ -192,15 +219,23 @@ class TestCliContract:
         (None, ["report", "--input", "{}"]),
         (None, ["report", "--input", "[1, 2]"]),
         (None, ["report", "--input", '{"experiment": "x", "config": {}, "rows": [{"n": 1}]}']),
+        (None, ["tail", "--n", "10000000", "--samples", "1000000"]),
+        (None, ["scan", "--file", "+-+-+-", "--orders", "5..2"]),
+        (None, ["bounds", "--check", "welch", "--families", "0"]),
+        (None, ["bounds", "--check", "welch", "--families", "-1"]),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):
         if env_seed is not None:
             monkeypatch.setenv("CORRLAB_SEED", env_seed)
-        if argv[0] == "report":  # the JSON text goes to a file
-            path = tmp_path / "report.json"
+        if argv[0] == "tail":  # stands in for a request too large to allocate
+            def refuse(*_):
+                raise MemoryError("Unable to allocate 9.09 TiB for an array")
+            monkeypatch.setattr(experiments, "_sample_matrix", refuse)
+        if argv[0] in ("report", "scan"):  # the text after the first flag goes to a file
+            path = tmp_path / "input.txt"
             path.write_text(argv[2])
-            argv = [*argv[:2], str(path)]
+            argv = [*argv[:2], str(path), *argv[3:]]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
