@@ -2,15 +2,21 @@
 
 Each experiment draws seeded sample sequences, computes exact measures or walk
 ranges with the batch kernels, and compares empirical statistics against the
-corresponding theoretical bound plus a declared statistical slack. Reports are
-bit-identical for a fixed master seed regardless of worker count: every sample
-has its own derived stream, and all reductions are exact or fixed-order.
+corresponding theoretical bound plus a declared statistical slack.
+
+The cell contract: grid point ci (the index in n_grid, so a repeated n is a new
+point) is drawn once, as rows from streams ci * samples on, and only when one of
+its (n, r) cells runs; skipped cells are noted in grid order; `workers` is
+passed through unchanged to the kernels. Every sample has its own derived
+stream and all reductions are exact or fixed-order, so reports are
+bit-identical for a fixed master seed at any worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
@@ -55,6 +61,10 @@ class ExperimentConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if any(n < 2 for n in self.n_grid):
             raise ValueError("all grid lengths must be >= 2")
+        if self.r < 2 or self.r_max < 2:
+            raise ValueError(f"orders must be >= 2, got r={self.r}, r_max={self.r_max}")
+        if self.dyadic_p is not None and self.dyadic_p < 0:
+            raise ValueError(f"dyadic_p must be >= 0, got {self.dyadic_p}")
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -102,7 +112,7 @@ class ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling, cells and rows
 
 
 def _sample_matrix(n: int, samples: int, master_seed: int, base_stream: int) -> np.ndarray:
@@ -113,16 +123,47 @@ def _sample_matrix(n: int, samples: int, master_seed: int, base_stream: int) -> 
     return mat
 
 
-def _exact_feasible(n: int, r: int, budget: int) -> bool:
-    return 2 <= r <= n and math.comb(n - 1, r - 1) * n <= budget
+def _skip_reason(cfg: ExperimentConfig, n: int, r: int, top=lambda n: n - 1,
+                 band: bool = False) -> str | None:
+    """Why cell (n, r) does not run, or None: the band needs 4r <= n, and an
+    exact C_r needs r <= top(n) and C(n-1, r-1) * n <= work_budget."""
+    if band and 4 * r > n:
+        return "band needs r <= n/4"
+    if r > top(n) or math.comb(n - 1, r - 1) * n > cfg.work_budget:
+        return "exact measure infeasible"
+    return None
+
+
+def _cells(cfg: ExperimentConfig, orders, notes: list[str], workers: int, **rule):
+    """Yield (grid index, n, r, exact C_r per sample) for each cell that runs,
+    noting each skipped cell as the walk reaches it; `rule` goes to `_skip_reason`."""
+    for ci, n in enumerate(cfg.n_grid):
+        mat = None
+        for r in orders:
+            reason = _skip_reason(cfg, n, r, **rule)
+            if reason is not None:
+                notes.append(f"cell n={n} r={r} skipped: {reason}")
+                continue
+            if mat is None:
+                mat = _sample_matrix(n, cfg.samples, cfg.master_seed, ci * cfg.samples)
+            yield ci, n, r, measures.exact_values_batch(mat, r, workers=workers)
+
+
+def _row(cfg: ExperimentConfig, n: int, r: int, statistic: str, value: float,
+         bound: float | None = None, ok: bool | None = None) -> StatRow:
+    """A report row; `ok` None gives verdict "info", else "pass" or "fail"."""
+    verdict = "info" if ok is None else ("pass" if ok else "fail")
+    return StatRow(n, r, cfg.samples, cfg.master_seed, statistic, value, bound, verdict)
+
+
+def _report(name: str, cfg: ExperimentConfig, rows: list[StatRow], notes: list[str],
+            t0: float) -> ExperimentReport:
+    return ExperimentReport(name, cfg.echo(), rows, notes, wall_time_s=time.perf_counter() - t0)
 
 
 def _mean_std_err(values: np.ndarray) -> tuple[float, float, float]:
     mean = float(values.mean())
-    if values.size > 1:
-        std = float(values.std(ddof=1))
-    else:
-        std = 0.0
+    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
     return mean, std, std / math.sqrt(values.size)
 
 
@@ -140,27 +181,16 @@ def estimate_expected_ratio(cfg: ExperimentConfig, workers: int = 1) -> Experime
     rows: list[StatRow] = []
     notes: list[str] = []
     means: list[float] = []
-    r = cfg.r
-    for ci, n in enumerate(cfg.n_grid):
-        if n <= r or not _exact_feasible(n, r, cfg.work_budget):
-            notes.append(f"cell n={n} r={r} skipped: exact measure infeasible")
-            continue
-        mat = _sample_matrix(n, cfg.samples, cfg.master_seed, ci * cfg.samples)
-        values = measures.exact_values_batch(mat, r, workers=workers)
-        theta = measures.normalization(n, r).value
-        mean, std, err = _mean_std_err(values / theta)
+    for _, n, r, values in _cells(cfg, (cfg.r,), notes, workers):
+        mean, std, err = _mean_std_err(values / measures.normalization(n, r).value)
         means.append(mean)
-        rows.append(StatRow(n, r, cfg.samples, cfg.master_seed, "ratio_mean", mean))
-        rows.append(StatRow(n, r, cfg.samples, cfg.master_seed, "ratio_std", std))
-        rows.append(StatRow(n, r, cfg.samples, cfg.master_seed, "ratio_stderr", err))
+        for statistic, value in (("ratio_mean", mean), ("ratio_std", std), ("ratio_stderr", err)):
+            rows.append(_row(cfg, n, r, statistic, value))
     if len(means) >= 2:
         increasing = all(a < b for a, b in zip(means, means[1:]))
-        rows.append(StatRow(cfg.n_grid[-1], r, cfg.samples, cfg.master_seed,
-                            "ratio_mean_strictly_increasing",
-                            1.0 if increasing else 0.0, bound=1.0,
-                            verdict="pass" if increasing else "fail"))
-    return ExperimentReport("expected_ratio", cfg.echo(), rows, notes,
-                            wall_time_s=time.perf_counter() - t0)
+        rows.append(_row(cfg, cfg.n_grid[-1], cfg.r, "ratio_mean_strictly_increasing",
+                         float(increasing), bound=1.0, ok=increasing))
+    return _report("expected_ratio", cfg, rows, notes, t0)
 
 
 def check_uniform_upper(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -172,30 +202,17 @@ def check_uniform_upper(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRe
     t0 = time.perf_counter()
     rows: list[StatRow] = []
     notes: list[str] = [f"orders truncated to 2..{cfg.r_max}"]
-    for ci, n in enumerate(cfg.n_grid):
+    cells = _cells(cfg, range(2, cfg.r_max + 1), notes, workers)
+    for _, group in itertools.groupby(cells, key=lambda cell: cell[0]):
         event_ok = np.ones(cfg.samples, dtype=bool)
-        mat = _sample_matrix(n, cfg.samples, cfg.master_seed, ci * cfg.samples)
-        any_r = False
-        for r in range(2, cfg.r_max + 1):
-            if n <= r or not _exact_feasible(n, r, cfg.work_budget):
-                notes.append(f"cell n={n} r={r} skipped: exact measure infeasible")
-                continue
-            any_r = True
-            values = measures.exact_values_batch(mat, r, workers=workers)
-            theta = measures.normalization(n, r).value
-            ratios = values / theta
+        for _, n, r, values in group:
+            ratios = values / measures.normalization(n, r).value
             event_ok &= ratios <= 1.0 + cfg.epsilon
-            rows.append(StatRow(n, r, cfg.samples, cfg.master_seed, "worst_ratio",
-                                float(ratios.max())))
-        if not any_r:
-            continue
+            rows.append(_row(cfg, n, r, "worst_ratio", float(ratios.max())))
         freq = float(event_ok.mean())
-        verdict = "info" if cfg.epsilon <= 0 else (
-            "pass" if freq >= cfg.min_event_freq else "fail")
-        rows.append(StatRow(n, 0, cfg.samples, cfg.master_seed, "uniform_event_freq",
-                            freq, bound=cfg.min_event_freq, verdict=verdict))
-    return ExperimentReport("uniform_upper", cfg.echo(), rows, notes,
-                            wall_time_s=time.perf_counter() - t0)
+        ok = None if cfg.epsilon <= 0 else freq >= cfg.min_event_freq
+        rows.append(_row(cfg, n, 0, "uniform_event_freq", freq, cfg.min_event_freq, ok))
+    return _report("uniform_upper", cfg, rows, notes, t0)
 
 
 def check_theoremA_band(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -206,31 +223,18 @@ def check_theoremA_band(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRe
         raise ValueError("band check needs n above e^e, i.e. n >= 16")
     rows: list[StatRow] = []
     notes: list[str] = [f"orders truncated to 2..{cfg.r_max}"]
-    for ci, n in enumerate(cfg.n_grid):
-        mat = _sample_matrix(n, cfg.samples, cfg.master_seed, ci * cfg.samples)
-        for r in range(2, cfg.r_max + 1):
-            if 4 * r > n:
-                notes.append(f"cell n={n} r={r} skipped: band needs r <= n/4")
-                continue
-            if not _exact_feasible(n, r, cfg.work_budget):
-                notes.append(f"cell n={n} r={r} skipped: exact measure infeasible")
-                continue
-            values = measures.exact_values_batch(mat, r, workers=workers)
-            lo = 0.4 * math.sqrt(n * log_binomial(n, r))
-            hi = math.sqrt((2.0 + math.log(math.log(n)) / math.log(n))
-                           * n * (math.log(n) + log_binomial(n, r)))
-            below = values > lo
-            above = values < hi
-            freq = float((below & above).mean())
-            rows.append(StatRow(n, r, cfg.samples, cfg.master_seed, "lower_freq",
-                                float(below.mean())))
-            rows.append(StatRow(n, r, cfg.samples, cfg.master_seed, "upper_freq",
-                                float(above.mean())))
-            rows.append(StatRow(n, r, cfg.samples, cfg.master_seed, "band_freq", freq,
-                                bound=cfg.min_event_freq,
-                                verdict="pass" if freq >= cfg.min_event_freq else "fail"))
-    return ExperimentReport("theoremA_band", cfg.echo(), rows, notes,
-                            wall_time_s=time.perf_counter() - t0)
+    for _, n, r, values in _cells(cfg, range(2, cfg.r_max + 1), notes, workers, band=True):
+        lo = 0.4 * math.sqrt(n * log_binomial(n, r))
+        hi = math.sqrt((2.0 + math.log(math.log(n)) / math.log(n))
+                       * n * (math.log(n) + log_binomial(n, r)))
+        below = values > lo
+        above = values < hi
+        freq = float((below & above).mean())
+        rows.append(_row(cfg, n, r, "lower_freq", float(below.mean())))
+        rows.append(_row(cfg, n, r, "upper_freq", float(above.mean())))
+        rows.append(_row(cfg, n, r, "band_freq", freq, cfg.min_event_freq,
+                         freq >= cfg.min_event_freq))
+    return _report("theoremA_band", cfg, rows, notes, t0)
 
 
 def check_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -244,25 +248,16 @@ def check_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRe
         raise ValueError("concentration check needs a nonempty theta_grid")
     rows: list[StatRow] = []
     notes: list[str] = ["sample mean substitutes for the true expectation"]
-    r = cfg.r
-    for ci, n in enumerate(cfg.n_grid):
-        if not _exact_feasible(n, r, cfg.work_budget):
-            notes.append(f"cell n={n} r={r} skipped: exact measure infeasible")
-            continue
-        mat = _sample_matrix(n, cfg.samples, cfg.master_seed, ci * cfg.samples)
-        values = measures.exact_values_batch(mat, r, workers=workers)
+    for _, n, r, values in _cells(cfg, (cfg.r,), notes, workers, top=lambda n: n):
         mean, std, _ = _mean_std_err(values.astype(np.float64))
-        rows.append(StatRow(n, r, cfg.samples, cfg.master_seed, "measure_mean", mean))
-        rows.append(StatRow(n, r, cfg.samples, cfg.master_seed, "measure_std", std))
+        rows.append(_row(cfg, n, r, "measure_mean", mean))
+        rows.append(_row(cfg, n, r, "measure_std", std))
         for theta in cfg.theta_grid:
             freq = float((np.abs(values - mean) >= theta).mean())
             bound = 2.0 * math.exp(-theta * theta / (2.0 * r * r * n))
-            verdict = "pass" if freq <= bound + cfg.slack else "fail"
-            rows.append(StatRow(n, r, cfg.samples, cfg.master_seed,
-                                f"exceedance_freq[theta={theta:g}]", freq,
-                                bound=bound, verdict=verdict))
-    return ExperimentReport("concentration", cfg.echo(), rows, notes,
-                            wall_time_s=time.perf_counter() - t0)
+            rows.append(_row(cfg, n, r, f"exceedance_freq[theta={theta:g}]", freq, bound,
+                             freq <= bound + cfg.slack))
+    return _report("concentration", cfg, rows, notes, t0)
 
 
 def _dyadic_form_ok(n: int, p: int) -> bool:
@@ -282,39 +277,30 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     t0 = time.perf_counter()
     if not cfg.lambda_grid:
         raise ValueError("range-tail check needs a nonempty lambda_grid")
+    for n, lam in itertools.product(cfg.n_grid, cfg.lambda_grid):
+        if lam <= 2.0 * math.sqrt(n):
+            raise ValueError(f"lambda={lam:g} rejected: the tail bounds need lambda"
+                             f" > 2 sqrt(n) = {2.0 * math.sqrt(n):g}")
     rows: list[StatRow] = []
     notes: list[str] = []
+    p = cfg.dyadic_p
     for ci, n in enumerate(cfg.n_grid):
-        for lam in cfg.lambda_grid:
-            if lam <= 2.0 * math.sqrt(n):
-                raise ValueError(
-                    f"lambda={lam:g} rejected: the tail bounds need lambda > 2 sqrt(n)"
-                    f" = {2.0 * math.sqrt(n):g}")
         mat = _sample_matrix(n, cfg.samples, cfg.master_seed, ci * cfg.samples)
         ranges = measures.range_values_batch(mat)
-        dyadic_ok = cfg.dyadic_p is not None and _dyadic_form_ok(n, cfg.dyadic_p)
-        if cfg.dyadic_p is not None and not dyadic_ok:
+        # (statistic, threshold factor on lambda, coefficient of exp(-lambda^2/(2n)))
+        tails = [("tail_freq", 1.0 + cfg.delta, math.log(n))]
+        if p is not None and _dyadic_form_ok(n, p):
+            tails.append(("dyadic_tail_freq", 1.0 + 12.0 * 2.0 ** (-p / 2.0), 2.0 ** (2 * p + 4)))
+        elif p is not None:
             notes.append(f"n={n} lacks the dyadic form j*2^m with "
-                         f"2^{cfg.dyadic_p} < j <= 2^{cfg.dyadic_p + 1}; "
-                         "dyadic comparison skipped")
+                         f"2^{p} < j <= 2^{p + 1}; dyadic comparison skipped")
         for lam in cfg.lambda_grid:
-            freq = float((ranges > lam * (1.0 + cfg.delta)).mean())
-            bound = math.log(n) * math.exp(-lam * lam / (2.0 * n))
-            verdict = "pass" if freq <= bound + cfg.slack else "fail"
-            rows.append(StatRow(n, 0, cfg.samples, cfg.master_seed,
-                                f"tail_freq[lambda={lam:g}]", freq,
-                                bound=bound, verdict=verdict))
-            if dyadic_ok:
-                p = cfg.dyadic_p
-                factor = 1.0 + 12.0 * 2.0 ** (-p / 2.0)
-                dfreq = float((ranges > lam * factor).mean())
-                dbound = 2.0 ** (2 * p + 4) * math.exp(-lam * lam / (2.0 * n))
-                dverdict = "pass" if dfreq <= dbound + cfg.slack else "fail"
-                rows.append(StatRow(n, 0, cfg.samples, cfg.master_seed,
-                                    f"dyadic_tail_freq[lambda={lam:g}]", dfreq,
-                                    bound=dbound, verdict=dverdict))
-    return ExperimentReport("range_tail", cfg.echo(), rows, notes,
-                            wall_time_s=time.perf_counter() - t0)
+            for statistic, factor, coef in tails:
+                freq = float((ranges > lam * factor).mean())
+                bound = coef * math.exp(-lam * lam / (2.0 * n))
+                rows.append(_row(cfg, n, 0, f"{statistic}[lambda={lam:g}]", freq, bound,
+                                 freq <= bound + cfg.slack))
+    return _report("range_tail", cfg, rows, notes, t0)
 
 
 def check_extension_difference(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -326,28 +312,21 @@ def check_extension_difference(cfg: ExperimentConfig, workers: int = 1) -> Exper
         raise ValueError(f"n_grid must be non-decreasing, got {list(grid)}")
     r = cfg.r
     for n in grid:
-        if n <= r or not _exact_feasible(n, r, cfg.work_budget):
+        if _skip_reason(cfg, n, r) is not None:
             raise ValueError(f"exact C_{r} infeasible or undefined at n={n}")
     rows: list[StatRow] = []
-    notes: list[str] = []
-    n_max = grid[-1]
-    mat = _sample_matrix(n_max, cfg.samples, cfg.master_seed, 0)
+    mat = _sample_matrix(grid[-1], cfg.samples, cfg.master_seed, 0)
     per_n = [measures.exact_values_batch(mat[:, :n], r, workers=workers) for n in grid]
-    for k in range(len(grid) - 1):
-        n_lo, n_hi = grid[k], grid[k + 1]
+    for k, (n_lo, n_hi) in enumerate(zip(grid, grid[1:])):
         diff = per_n[k + 1] - per_n[k]
         bound = math.sqrt(10.0 * (n_hi - n_lo) * log_binomial(n_hi, r - 1))
         vfreq = float((diff > bound).mean())
         mfreq = float((diff < 0).mean())
-        rows.append(StatRow(n_hi, r, cfg.samples, cfg.master_seed,
-                            f"difference_violation_freq[{n_lo}->{n_hi}]", vfreq,
-                            bound=cfg.freq_tol,
-                            verdict="pass" if vfreq <= cfg.freq_tol else "fail"))
-        rows.append(StatRow(n_hi, r, cfg.samples, cfg.master_seed,
-                            f"monotone_violation_freq[{n_lo}->{n_hi}]", mfreq,
-                            bound=0.0, verdict="pass" if mfreq == 0.0 else "fail"))
-    return ExperimentReport("extension_difference", cfg.echo(), rows, notes,
-                            wall_time_s=time.perf_counter() - t0)
+        rows.append(_row(cfg, n_hi, r, f"difference_violation_freq[{n_lo}->{n_hi}]", vfreq,
+                         cfg.freq_tol, vfreq <= cfg.freq_tol))
+        rows.append(_row(cfg, n_hi, r, f"monotone_violation_freq[{n_lo}->{n_hi}]", mfreq,
+                         0.0, mfreq == 0.0))
+    return _report("extension_difference", cfg, rows, [], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +400,11 @@ def parse_report(text: str, fmt: str) -> ExperimentReport:
                 continue
             elif line:
                 data_lines.append(line)
-        rows = []
-        reader = csv.DictReader(data_lines)
-        for rec in reader:
-            rows.append(StatRow(
-                n=int(rec["n"]), r=int(rec["r"]), samples=int(rec["samples"]),
-                seed=int(rec["seed"]), statistic=rec["statistic"],
-                value=float(rec["value"]),
-                bound=float(rec["bound"]) if rec["bound"] else None,
-                verdict=rec["verdict"]))
+        rows = [StatRow(n=int(rec["n"]), r=int(rec["r"]), samples=int(rec["samples"]),
+                        seed=int(rec["seed"]), statistic=rec["statistic"],
+                        value=float(rec["value"]),
+                        bound=float(rec["bound"]) if rec["bound"] else None,
+                        verdict=rec["verdict"])
+                for rec in csv.DictReader(data_lines)]
         return ExperimentReport(experiment, config, rows, notes)
     raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")

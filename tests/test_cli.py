@@ -223,6 +223,7 @@ class TestCliContract:
         (None, ["scan", "--file", "+-+-+-", "--orders", "5..2"]),
         (None, ["bounds", "--check", "welch", "--families", "0"]),
         (None, ["bounds", "--check", "welch", "--families", "-1"]),
+        (None, ["trend", "--n-grid", "64", "--order", "1", "--samples", "4"]),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -22,6 +23,14 @@ class TestConfig:
             xp.ExperimentConfig(n_grid=(16,), samples=0)
         with pytest.raises(ValueError):
             xp.ExperimentConfig(n_grid=(1,))
+        with pytest.raises(ValueError):
+            xp.ExperimentConfig(n_grid=(64,), r=1)
+        with pytest.raises(ValueError):
+            xp.ExperimentConfig(n_grid=(64,), r_max=1)
+
+    def test_negative_dyadic_p_rejected_up_front(self):
+        with pytest.raises(ValueError, match="dyadic_p"):
+            xp.ExperimentConfig(n_grid=(64,), lambda_grid=(20.0,), dyadic_p=-1)
 
     def test_echo_is_json_safe(self):
         import json
@@ -123,6 +132,15 @@ class TestRangeTail:
         with pytest.raises(ValueError):
             xp.check_range_tail(cfg)  # lambda = 2 sqrt(n) exactly is rejected
 
+    def test_every_lambda_checked_before_sampling(self, monkeypatch):
+        calls = []
+        real = xp._sample_matrix
+        monkeypatch.setattr(xp, "_sample_matrix", lambda *a: calls.append(a) or real(*a))
+        cfg = xp.ExperimentConfig(n_grid=(1024, 4096), samples=10, lambda_grid=(70.0,))
+        with pytest.raises(ValueError, match=r"lambda=70 rejected: .* = 128$"):
+            xp.check_range_tail(cfg)  # 70 > 2 sqrt(1024) but not 2 sqrt(4096)
+        assert calls == []
+
     def test_dyadic_recognition(self):
         lams = (3 * math.sqrt(1024),)
         cfg = xp.ExperimentConfig(n_grid=(1024,), samples=50, master_seed=2,
@@ -202,6 +220,59 @@ class TestReports:
                 assert 0.0 <= row.value <= 1.0
                 want = "pass" if row.value <= row.bound + cfg.slack else "fail"
                 assert row.verdict == want
+
+    # Each config reaches a corner of the cell rules: skips in mid-grid, every
+    # order skipped at one n, a repeated n (two grid points, two sample
+    # streams), both band skip reasons, the r = n concentration cell, eps = 0,
+    # a dyadic hit and skip, and equal extension lengths.
+    PINNED = [
+        ("estimate_expected_ratio", dict(n_grid=(64,), r=2, samples=6, master_seed=3),
+         "11f59d92204e475f16e7971946f85dcac6a2e9fce79978f3960542f5d68ef7e8",
+         "60471fdf9e5dbb23b1e49fbd2b477bafe51fe7d03e15f470e2c397ae1c68ce86"),
+        ("estimate_expected_ratio", dict(n_grid=(3, 64, 4096, 128), r=3, samples=6,
+                                         master_seed=5, work_budget=10 ** 7),
+         "d7e1ca5add7930912784b709867d6dbfa368266ca5ad1478a96da73b58b724f8",
+         "449bd3e5f119473a34d0f19a67e238cc2f621280179b531d668d444cbbc6bdc2"),
+        ("check_uniform_upper", dict(n_grid=(2, 3, 24, 64, 64, 900), r_max=4, samples=6,
+                                     master_seed=8, work_budget=10 ** 7),
+         "c9f3c42febc8f072984da4674217e79082bb98b24341726b728fb2e13cfb6488",
+         "e5809ec28699e6ff6050c011cd5848c8f9fdd1ab1b19201519ce7d8e602afdb7"),
+        ("check_uniform_upper", dict(n_grid=(64,), r_max=2, samples=6, master_seed=3,
+                                     epsilon=0.0),
+         "cc926048aa31c380159c1a88f48ef58b6da31e73453951659431c0d6d06de35f",
+         "e3c0a376c1e34973211b09652e31c0f636925d90a43571434b07e684ed1d32b9"),
+        ("check_theoremA_band", dict(n_grid=(16, 40), r_max=5, samples=6, master_seed=2,
+                                     work_budget=10 ** 6),
+         "3fc1e4ad27784c8790bf3ceac77819c11df5879ba40bb82e2fbb455ea1260dd7",
+         "618c8194be4f4beb624e1e12bcc7364fae505f7b4c0d19279f80fb0d8e56c524"),
+        ("check_concentration", dict(n_grid=(3, 4096, 64), r=3, samples=6, master_seed=4,
+                                     theta_grid=(0.0, 2.0, 40.0), work_budget=10 ** 7),
+         "7ce343b2283d44e12126cff04144279c3c54511facd4fbb0981a36417a88acf1",
+         "a0e4e5cfd6903089469715b01524af9f22271df071398d9a8c235036b547fdba"),
+        ("check_range_tail", dict(n_grid=(1024, 1000), samples=20, master_seed=6, delta=0.0,
+                                  lambda_grid=(66.0, 100.0), dyadic_p=1),
+         "9290141587505444912884f8c853d6bfec47fb22a7ec5bc119c5d3f846261a44",
+         "847d42d6002a5231d02c43ec9914a7d1f0aedf2ef01a7db1d0d9bc43ac72fd62"),
+        ("check_range_tail", dict(n_grid=(1024, 1000), samples=20, master_seed=6, delta=0.0,
+                                  lambda_grid=(66.0, 100.0)),
+         "6d3808897e4468c291509c26a7d41a905dfc4a052cc9e4fb1ff0779c07d4eab6",
+         "05f2d7018db6d5d8d6097709af0011e9c6e07ff9cee5000b7d333d36887adaf1"),
+        ("check_extension_difference", dict(n_grid=(32, 32, 48), r=2, samples=6,
+                                            master_seed=7),
+         "1d954034af18a4abe1acc301279c86671a8cf145dcd4a8cc60111e4b26097b7c",
+         "e827c5cf49cdcb3ea34013352e2c39422cf11ce7de5b074c0e49f9941fd7b685"),
+    ]
+
+    @pytest.mark.parametrize("name,kwargs,csv_digest,json_digest", PINNED, ids=[
+        "ratio_one_cell", "ratio_mid_grid_skips", "uniform_repeated_n", "uniform_eps_zero",
+        "band_both_skips", "concentration_r_eq_n", "tail_dyadic_hit_and_skip",
+        "tail_no_dyadic", "extension_equal_lengths"])
+    def test_report_bytes_pinned(self, name, kwargs, csv_digest, json_digest):
+        rep = getattr(xp, name)(xp.ExperimentConfig(**kwargs))
+        for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
+            text = xp.emit_report(rep, fmt)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (fmt, text)
+            assert xp.parse_report(text, fmt) == rep
 
     def test_rerun_bytes_identical(self):
         cfg = xp.ExperimentConfig(n_grid=(64, 128), r=2, samples=40, master_seed=13)
