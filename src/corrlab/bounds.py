@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .seqcore import BinarySequence, all_sequences_matrix
+from .seqcore import BinarySequence, SeedSpec, all_sequences_matrix
 from . import measures
 
 # Explicit floor used by the max-of-even-orders certificate; the per-order
@@ -137,6 +137,25 @@ def _report(bound: float, achieved: int, **construction) -> BoundReport:
     """A minimum-value certificate; every bound here is strict."""
     return BoundReport(bound_value=bound, achieved_value=float(achieved),
                        satisfied=achieved > bound, construction=construction)
+
+
+def certify_welch_families(ell: int, m: int, k: int, families: int,
+                           master_seed: int) -> list[BoundReport]:
+    """Welch's bound against random ±1 families of m vectors of length ell, family
+    i drawn from SeedSpec(master_seed, i); it holds vacuously when m <= C(ell+k-1, k)."""
+    if families < 1:
+        raise ValueError(f"families must be >= 1, got {families}")
+    wb = welch_bound(ell, m, k)
+    reports = []
+    for i in range(families):
+        bits = SeedSpec(master_seed, i).generator().integers(0, 2, size=(m, ell))
+        achieved = max_offdiag_scalar(VectorFamily(ell, 1 - 2 * bits.astype(np.int8)))
+        reports.append(BoundReport(
+            bound_value=wb.value, achieved_value=float(achieved),
+            satisfied=wb.vacuous or achieved >= wb.value,
+            construction={"kind": "welch_random_family", "ell": ell, "m": m, "k": k,
+                          "family_index": i, "vacuous": wb.vacuous}))
+    return reports
 
 
 def _exhaustive_worst(n: int, orders: Sequence[int], workers: int) -> list[int]:

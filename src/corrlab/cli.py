@@ -5,6 +5,10 @@ Data goes to stdout (JSON lines or CSV, each stream starting with a header
 that echoes the resolved flags); logs go to stderr. Exit codes: 0 success,
 1 failed verdict, 2 usage or input error. CORRLAB_SEED provides the default
 master seed.
+
+Each `_cmd_*` handler maps parsed args to `(stdout text, ok)`. `run()` is the
+only stdout writer: it writes once, after the handler returns, so an input
+error (exit 2) leaves stdout empty, and it maps `ok` to exit 0 or 1.
 """
 
 from __future__ import annotations
@@ -38,12 +42,8 @@ def _load_sequences(path: str | None) -> list[seqcore.BinarySequence]:
     return seqs
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, cast=int) -> list:
+    return [cast(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_orders(text: str) -> list[int]:
@@ -56,15 +56,15 @@ def _parse_orders(text: str) -> list[int]:
     return [int(text)]
 
 
-def _emit_json_line(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+def _json_lines(records) -> str:
+    return "".join(json.dumps(record, allow_nan=False) + "\n" for record in records)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> tuple[str, bool]:
     if args.order < 2:
         raise ValueError("--order must be >= 2")
     seqs = _load_sequences(args.file)
@@ -79,12 +79,10 @@ def _cmd_measure(args) -> int:
             result = measures.correlation_measure_exact(
                 seq, args.order, work_budget=args.work_budget)
         records.append({"index": idx, "n": seq.length, **result.to_dict()})
-    for record in records:
-        _emit_json_line(record)
-    return 0
+    return _json_lines(records), True
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[str, bool]:
     orders = _parse_orders(args.orders)
     if any(r < 2 for r in orders):
         raise ValueError("orders must be >= 2")
@@ -95,33 +93,29 @@ def _cmd_scan(args) -> int:
             result = measures.correlation_measure_exact(seq, r,
                                                         work_budget=args.work_budget)
             lines.append(f"{idx},{seq.length},{r},{result.value}\n")
-    sys.stdout.write("".join(lines))
-    return 0
+    return "".join(lines), True
 
 
-def _emit_report(report: experiments.ExperimentReport, fmt: str) -> int:
-    sys.stdout.write(experiments.emit_report(report, fmt))
+def _report_text(report: experiments.ExperimentReport, fmt: str) -> tuple[str, bool]:
+    text = experiments.emit_report(report, fmt)
     if report.wall_time_s is not None:
         print(f"[{report.experiment}] wall time {report.wall_time_s:.2f}s",
               file=sys.stderr)
-    return 0 if report.passed else 1
+    return text, report.passed
 
 
-def _cmd_trend(args) -> int:
+def _cmd_trend(args) -> tuple[str, bool]:
     cfg = experiments.ExperimentConfig(
-        n_grid=tuple(_parse_int_list(args.n_grid)),
+        n_grid=tuple(_parse_list(args.n_grid)),
         r=args.order, samples=args.samples, master_seed=args.seed,
         work_budget=args.work_budget)
     report = experiments.estimate_expected_ratio(cfg, workers=args.workers)
-    return _emit_report(report, args.format)
+    return _report_text(report, args.format)
 
 
-def _cmd_bounds(args) -> int:
-    # every report is built before the header, so a bad flag writes nothing
+def _cmd_bounds(args) -> tuple[str, bool]:
     if args.check != "welch" and args.exhaustive and args.n is None:
         raise ValueError(f"--check {args.check} --exhaustive needs --n")
-    if args.check == "welch" and args.families < 1:
-        raise ValueError(f"--families must be >= 1, got {args.families}")
     if args.check == "theoremC":
         header = {"command": "bounds", "check": "theoremC", "n": args.n,
                   "r": args.r, "exhaustive": bool(args.exhaustive)}
@@ -144,97 +138,72 @@ def _cmd_bounds(args) -> int:
         header = {"command": "bounds", "check": "welch", "ell": args.ell,
                   "m": args.m, "k": args.k, "families": args.families,
                   "seed": args.seed}
-        wb = bounds.welch_bound(args.ell, args.m, args.k)
-        reports = []
-        for i in range(args.families):
-            rng = seqcore.SeedSpec(args.seed, i).generator()
-            mat = 1 - 2 * rng.integers(0, 2, size=(args.m, args.ell)).astype("int8")
-            fam = bounds.VectorFamily(args.ell, mat)
-            achieved = bounds.max_offdiag_scalar(fam)
-            reports.append(bounds.BoundReport(
-                bound_value=wb.value, achieved_value=float(achieved),
-                satisfied=wb.vacuous or achieved >= wb.value,
-                construction={"kind": "welch_random_family", "ell": args.ell,
-                              "m": args.m, "k": args.k, "family_index": i,
-                              "vacuous": wb.vacuous}))
-    _emit_json_line(header)
-    failed = False
-    for report in reports:
-        _emit_json_line(report.to_dict())
-        failed = failed or not report.satisfied
-    return 1 if failed else 0
+        reports = bounds.certify_welch_families(args.ell, args.m, args.k,
+                                                args.families, args.seed)
+    return (_json_lines([header, *(report.to_dict() for report in reports)]),
+            all(report.satisfied for report in reports))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[str, bool]:
     check = args.check
+    ok, rows = True, []
     if check == "naive":
         seqs = _load_sequences(args.file)
-        _emit_json_line({"command": "oracle", "check": "naive", "order": args.order})
-        for idx, seq in enumerate(seqs):
-            value = oracles.naive_correlation_measure(seq, args.order)
-            _emit_json_line({"index": idx, "n": seq.length, "value": value})
-        return 0
-    if check == "even":
-        if args.entries:
-            entries = tuple(_parse_int_list(args.entries))
-            degree = oracles.evenness_degree(entries)
-            _emit_json_line({"command": "oracle", "check": "even",
-                             "entries": list(entries), "evenness_degree": degree,
-                             "even": degree == len(entries) // 2})
-            return 0
+        record = {"order": args.order}
+        rows = [{"index": idx, "n": seq.length,
+                 "value": oracles.naive_correlation_measure(seq, args.order)}
+                for idx, seq in enumerate(seqs)]
+    elif check == "even" and args.entries:
+        entries = tuple(_parse_list(args.entries))
+        degree = oracles.evenness_degree(entries)
+        record = {"entries": list(entries), "evenness_degree": degree,
+                  "even": degree == len(entries) // 2}
+    elif check == "even":
         count = oracles.count_even_tuples(args.m, args.q)
         bound = bounds.double_factorial_odd(args.q) * args.m ** args.q
         ok = count <= bound
-        _emit_json_line({"command": "oracle", "check": "even", "m": args.m,
-                         "q": args.q, "count": count, "bound": bound,
-                         "satisfied": ok})
-        return 0 if ok else 1
-    if check == "constrained":
+        record = {"m": args.m, "q": args.q, "count": count, "bound": bound,
+                  "satisfied": ok}
+    elif check == "constrained":
         u = measures.ShiftTuple((args.u,))
         v = measures.ShiftTuple((args.v,))
         count = oracles.count_constrained_even(args.n, args.q, args.t, u, v)
         bound = oracles.constrained_even_bound(args.n, args.q, args.t)
         ok = count <= bound
-        _emit_json_line({"command": "oracle", "check": "constrained", "n": args.n,
-                         "q": args.q, "t": args.t, "u": args.u, "v": args.v,
-                         "count": count, "bound": bound, "satisfied": ok})
-        return 0 if ok else 1
-    if check == "moment":
-        u = measures.ShiftTuple(tuple(_parse_int_list(args.u_offsets)))
-        v = measures.ShiftTuple(tuple(_parse_int_list(args.v_offsets)))
+        record = {"n": args.n, "q": args.q, "t": args.t, "u": args.u, "v": args.v,
+                  "count": count, "bound": bound, "satisfied": ok}
+    elif check == "moment":
+        u = measures.ShiftTuple(tuple(_parse_list(args.u_offsets)))
+        v = measures.ShiftTuple(tuple(_parse_list(args.v_offsets)))
         mc = oracles.exact_moment(args.n, u, v, args.p, args.h)
-        _emit_json_line({"command": "oracle", "check": "moment", **mc.to_dict()})
-        return 0 if mc.satisfied else 1
-    if check == "tail":
-        u = measures.ShiftTuple(tuple(_parse_int_list(args.u_offsets)))
+        ok = mc.satisfied
+        record = mc.to_dict()
+    elif check == "tail":
+        u = measures.ShiftTuple(tuple(_parse_list(args.u_offsets)))
         prob = oracles.exact_tail(args.n, u, args.lam)
-        _emit_json_line({"command": "oracle", "check": "tail", "n": args.n,
-                         "u": list(u.offsets), "lam": args.lam,
-                         "probability": str(prob), "probability_float": float(prob)})
-        return 0
-    # expect
-    expectation = oracles.exact_expected_measure(args.n, args.order)
-    _emit_json_line({"command": "oracle", "check": "expect", "n": args.n,
-                     "order": args.order, "expectation": str(expectation),
-                     "expectation_float": float(expectation)})
-    return 0
+        record = {"n": args.n, "u": list(u.offsets), "lam": args.lam,
+                  "probability": str(prob), "probability_float": float(prob)}
+    else:  # expect
+        expectation = oracles.exact_expected_measure(args.n, args.order)
+        record = {"n": args.n, "order": args.order, "expectation": str(expectation),
+                  "expectation_float": float(expectation)}
+    return _json_lines([{"command": "oracle", "check": check, **record}, *rows]), ok
 
 
-def _cmd_tail(args) -> int:
-    lams = tuple(c * math.sqrt(args.n) for c in _parse_float_list(args.lambda_mults))
+def _cmd_tail(args) -> tuple[str, bool]:
+    lams = tuple(c * math.sqrt(args.n) for c in _parse_list(args.lambda_mults, float))
     cfg = experiments.ExperimentConfig(
         n_grid=(args.n,), samples=args.samples, master_seed=args.seed,
         delta=args.delta, lambda_grid=lams, slack=args.slack,
         dyadic_p=args.dyadic_p)
     report = experiments.check_range_tail(cfg, workers=args.workers)
-    return _emit_report(report, args.format)
+    return _report_text(report, args.format)
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[str, bool]:
     text = Path(args.input).read_text(encoding="utf-8")
     report = experiments.parse_report(text, "json")
-    sys.stdout.write(experiments.emit_report(report, args.to))
-    return 0
+    return experiments.emit_report(report, args.to), True
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +320,14 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--threads must be >= 1, got {args.workers}")
-        return args.func(args)
+        text, ok = args.func(args)
     except SystemExit as exc:  # argparse has printed usage or help
         return int(exc.code or 0)
     except (ParseError, ResourceLimitError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 def main() -> int:

@@ -65,6 +65,10 @@ class ExperimentConfig:
             raise ValueError(f"orders must be >= 2, got r={self.r}, r_max={self.r_max}")
         if self.dyadic_p is not None and self.dyadic_p < 0:
             raise ValueError(f"dyadic_p must be >= 0, got {self.dyadic_p}")
+        for key in ("epsilon", "delta", "slack", "min_event_freq", "freq_tol",
+                    "theta_grid", "lambda_grid"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -98,7 +102,7 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return not any(row.verdict == "fail" for row in self.rows)
+        return bool(self.rows) and not any(row.verdict == "fail" for row in self.rows)
 
     def row(self, statistic: str, n: int | None = None, r: int | None = None) -> StatRow:
         for row in self.rows:
@@ -137,6 +141,8 @@ def _skip_reason(cfg: ExperimentConfig, n: int, r: int, top=lambda n: n - 1,
 def _cells(cfg: ExperimentConfig, orders, notes: list[str], workers: int, **rule):
     """Yield (grid index, n, r, exact C_r per sample) for each cell that runs,
     noting each skipped cell as the walk reaches it; `rule` goes to `_skip_reason`."""
+    if all(_skip_reason(cfg, n, r, **rule) for n in cfg.n_grid for r in orders):
+        raise ValueError("every cell of the grid is skipped, so nothing would be measured")
     for ci, n in enumerate(cfg.n_grid):
         mat = None
         for r in orders:

@@ -278,8 +278,8 @@ def exact_tail(n: int, u: ShiftTuple, lam: float) -> Fraction:
     if n > 20:
         raise ResourceLimitError(f"tail oracle is limited to n <= 20, got {n}")
     u.validate_for(n)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     length = n - u.max_offset
     hits = sum(math.comb(length, k) for k in range(length + 1)
                if abs(2 * k - length) >= lam)

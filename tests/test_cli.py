@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -224,12 +225,17 @@ class TestCliContract:
         (None, ["bounds", "--check", "welch", "--families", "0"]),
         (None, ["bounds", "--check", "welch", "--families", "-1"]),
         (None, ["trend", "--n-grid", "64", "--order", "1", "--samples", "4"]),
+        (None, ["trend", "--n-grid", "4096", "--order", "5", "--samples", "4"]),
+        (None, ["tail", "--n", "1024", "--samples", "50", "--lambda-mults", "2.5",
+                "--delta", "nan"]),
+        (None, ["tail", "--n", "1024", "--samples", "50", "--lambda-mults", "nan"]),
+        (None, ["oracle", "--check", "tail", "--n", "12", "--u-offsets", "2", "--lam", "nan"]),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):
         if env_seed is not None:
             monkeypatch.setenv("CORRLAB_SEED", env_seed)
-        if argv[0] == "tail":  # stands in for a request too large to allocate
+        if "10000000" in argv:  # stands in for a request too large to allocate
             def refuse(*_):
                 raise MemoryError("Unable to allocate 9.09 TiB for an array")
             monkeypatch.setattr(experiments, "_sample_matrix", refuse)
@@ -242,12 +248,13 @@ class TestCliContract:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
-    @pytest.mark.parametrize("sub", ["measure", "scan"])
+    @pytest.mark.parametrize("sub", ["measure", "scan", "oracle"])
     def test_failure_on_a_later_sequence_writes_nothing(self, capsys, tmp_path, sub):
         path = tmp_path / "mixed.txt"
         path.write_text("+-+-+-\n+-+\n")  # order 4 fits the first line only
-        flag = "--order" if sub == "measure" else "--orders"
-        code, out, err = run_cli(capsys, sub, "--file", str(path), flag, "4")
+        argv = {"measure": ["measure", "--order", "4"], "scan": ["scan", "--orders", "4"],
+                "oracle": ["oracle", "--check", "naive", "--order", "4"]}[sub]
+        code, out, err = run_cli(capsys, *argv, "--file", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
@@ -258,3 +265,74 @@ class TestCliContract:
         code, out, _ = run_cli(capsys, sub, "--help")
         assert code == 0
         assert "--help" in out or "usage" in out
+
+
+PINNED_FILE = "+-++-+---++-+-+++--+\n++--+-+-+++---+-\n"
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    pytest.param(["measure", "--file", "SEQS", "--order", "3"],
+                 0, "9ceef9c3791292b78d7c419572049f32fa12c4b4c152233e98c97c0ed6d0fc1a",
+                 id="measure"),
+    pytest.param(["measure", "--file", "SEQS", "--order", "6", "--sampled", "--budget",
+                  "50", "--seed", "4"],
+                 0, "016ec79206f82388415c3a893a41f5a0890487670f029e5c86e6a608a31c2290",
+                 id="measure-sampled"),
+    pytest.param(["scan", "--file", "SEQS", "--orders", "2..4"],
+                 0, "40a1810b89ca5175937c3c91f5d44265d9861072f5291e005e06ead4eb26fb55",
+                 id="scan"),
+    pytest.param(["trend", "--n-grid", "32,64,128", "--order", "2", "--samples", "20",
+                  "--seed", "5"],
+                 0, "a327d69e473320b28c456c827402fe924d1f37de8f4c909acc989145f52d52b7",
+                 id="trend-csv"),
+    pytest.param(["trend", "--n-grid", "128,32", "--samples", "20", "--seed", "5"],
+                 1, "749bbbb046e44294c4047f0212384d0ba441735633d4a355651dbe0ca7ad19f5",
+                 id="trend-failed-verdict"),
+    pytest.param(["expect", "--n-grid", "24,48", "--order", "3", "--samples", "10",
+                  "--seed", "8", "--format", "json"],
+                 0, "a3451d62c9fa72712f6f8b8f22873a8ad33e91987261b9f3a50c4e60ccfdab87",
+                 id="expect-json"),
+    pytest.param(["tail", "--n", "1024", "--samples", "200", "--lambda-mults", "2.1,3.0",
+                  "--dyadic-p", "3", "--seed", "2"],
+                 0, "473d03beef76a86cb42d9b39816a8fcaee580fbbf7bff176055a71413d774db4",
+                 id="tail-dyadic"),
+    pytest.param(["oracle", "--check", "naive", "--file", "SEQS", "--order", "3"],
+                 0, "71ea04f0900ad8c09d2f8a7855b7bb917d1c836a7ba83503f92f0b529c2aff8f",
+                 id="oracle-naive"),
+    pytest.param(["oracle", "--check", "even", "--entries", "1,3,1,4,3,4"],
+                 0, "0ed8a43ccaf358a077a7446ccc9c14cc26e1673a430fa421623e850dd4df1497",
+                 id="oracle-even-entries"),
+    pytest.param(["oracle", "--check", "even", "--m", "3", "--q", "2"],
+                 0, "876c10e930906ea60af536934a41398b0324a0c7885e2e32c47aa8cc04af533e",
+                 id="oracle-even-count"),
+    pytest.param(["oracle", "--check", "constrained", "--n", "6", "--q", "2", "--t", "1",
+                  "--u", "1", "--v", "3"],
+                 0, "4004f49f7ae7fdb3e4d15c91e0a1b70d7b8f2a7dedda80d684a9cbc29c1d696c",
+                 id="oracle-constrained"),
+    pytest.param(["oracle", "--check", "moment", "--n", "8", "--u-offsets", "1,2",
+                  "--v-offsets", "3,5", "--p", "2", "--h", "1"],
+                 0, "7bb8f00e2557a2367b8321899569cbb0d021731b6401dd9052908ff591dff7ee",
+                 id="oracle-moment"),
+    pytest.param(["oracle", "--check", "tail", "--n", "12", "--u-offsets", "2",
+                  "--lam", "4"],
+                 0, "32d32523cfbaf1aaa862b915817a0204d1a3925d8b05a9bb60641c7f3a0cfbbe",
+                 id="oracle-tail"),
+    pytest.param(["oracle", "--check", "expect", "--n", "6", "--order", "3"],
+                 0, "bcf60340413240421099b584c7e36d024a2bb9ac5c5b986911cd89088f3c8466",
+                 id="oracle-expect"),
+    pytest.param(["report", "--input", "REPORT", "--to", "csv"],
+                 0, "b0b9066488b82a9286fc037460cea52ace1092329817c06d4261415a6f2b1afc",
+                 id="report-csv"),
+])
+def test_subcommand_stdout_bytes_pinned(capsys, monkeypatch, tmp_path, argv, code, digest):
+    # every subcommand but bounds (pinned in TestBounds): a change to a value,
+    # key order, float format or header moves a digest; relative file names
+    # keep the headers that echo --file free of the temporary directory
+    monkeypatch.chdir(tmp_path)
+    Path("seqs.txt").write_text(PINNED_FILE)
+    cfg = experiments.ExperimentConfig(n_grid=(32, 48), r=3, samples=6, master_seed=1)
+    Path("report.json").write_text(experiments.emit_report(
+        experiments.estimate_expected_ratio(cfg), "json"))
+    argv = [{"SEQS": "seqs.txt", "REPORT": "report.json"}.get(tok, tok) for tok in argv]
+    got_code, out, _ = run_cli(capsys, *argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -27,6 +27,13 @@ class TestConfig:
             xp.ExperimentConfig(n_grid=(64,), r=1)
         with pytest.raises(ValueError):
             xp.ExperimentConfig(n_grid=(64,), r_max=1)
+        for bad in (math.nan, math.inf, -math.inf):
+            for key in ("epsilon", "delta", "slack", "min_event_freq", "freq_tol"):
+                with pytest.raises(ValueError, match=key):
+                    xp.ExperimentConfig(n_grid=(64,), **{key: bad})
+            for key in ("theta_grid", "lambda_grid"):
+                with pytest.raises(ValueError, match=key):
+                    xp.ExperimentConfig(n_grid=(64,), **{key: (20.0, bad)})
 
     def test_negative_dyadic_p_rejected_up_front(self):
         with pytest.raises(ValueError, match="dyadic_p"):
@@ -92,6 +99,13 @@ class TestUniformUpper:
         cfg = xp.ExperimentConfig(n_grid=(32,), r_max=3, samples=10, master_seed=0)
         rep = xp.check_uniform_upper(cfg)
         assert any("truncated" in note for note in rep.notes)
+
+    def test_all_cells_skipped_rejected_before_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(xp, "_sample_matrix", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="every cell"):
+            xp.check_uniform_upper(xp.ExperimentConfig(n_grid=(2,), r_max=3))
+        assert calls == []
 
 
 class TestTheoremABand:
@@ -204,6 +218,9 @@ class TestReports:
         text = xp.emit_report(rep, "csv")
         data = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert data == ["n,r,samples,seed,statistic,value,bound,verdict"]
+
+    def test_report_without_rows_does_not_pass(self):
+        assert xp.ExperimentReport("x", {}, []).passed is False
 
     def test_timing_excluded_by_default(self):
         rep = self._sample_report()

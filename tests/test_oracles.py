@@ -150,6 +150,11 @@ class TestExactTail:
         assert orc.exact_tail(12, u, 0) == 1
         assert orc.exact_tail(12, u, 11) == 0  # beyond n - u_r = 10 steps
 
+    def test_rejects_non_finite_lam(self):
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lam"):
+                orc.exact_tail(12, ms.ShiftTuple((2,)), lam)
+
     def test_pinned_binomial_value(self):
         got = orc.exact_tail(12, ms.ShiftTuple((2,)), 4)
         assert got == Fraction(352, 1024) == Fraction(11, 32)
