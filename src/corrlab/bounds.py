@@ -10,7 +10,7 @@ equal-norm vectors, applied to vectors of shifted symbol products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -125,12 +125,7 @@ class BoundReport:
     construction: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "bound_value": self.bound_value,
-            "achieved_value": self.achieved_value,
-            "satisfied": self.satisfied,
-            "construction": dict(self.construction),
-        }
+        return asdict(self)
 
 
 def _report(bound: float, achieved: int, **construction) -> BoundReport:
@@ -272,8 +267,7 @@ def f_ratio(n: int, s: int):
 
     Exact rational while the binomials are below the digit cap, float beyond.
     """
-    if n < 3 or s < 1 or s > n // 3:
-        raise ValueError(f"need n >= 3 and 1 <= s <= floor(n/3), got n={n}, s={s}")
+    _check_max_args(n, s)
     ell = n // 3
     log10_top = (math.lgamma(n - ell + 2) - math.lgamma(s + 1)
                  - math.lgamma(n - ell + 2 - s)) / math.log(10)

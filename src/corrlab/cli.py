@@ -65,8 +65,6 @@ def _json_lines(records) -> str:
 
 
 def _cmd_measure(args) -> tuple[str, bool]:
-    if args.order < 2:
-        raise ValueError("--order must be >= 2")
     seqs = _load_sequences(args.file)
     records = [{"command": "measure", "file": args.file, "order": args.order,
                 "sampled": bool(args.sampled), "budget": args.budget, "seed": args.seed}]
@@ -84,8 +82,6 @@ def _cmd_measure(args) -> tuple[str, bool]:
 
 def _cmd_scan(args) -> tuple[str, bool]:
     orders = _parse_orders(args.orders)
-    if any(r < 2 for r in orders):
-        raise ValueError("orders must be >= 2")
     seqs = _load_sequences(args.file)
     lines = [f"# scan file={args.file} orders={args.orders}\n", "index,n,order,value\n"]
     for idx, seq in enumerate(seqs):
@@ -114,7 +110,13 @@ def _cmd_trend(args) -> tuple[str, bool]:
 
 
 def _cmd_bounds(args) -> tuple[str, bool]:
-    if args.check != "welch" and args.exhaustive and args.n is None:
+    uses = () if args.check == "welch" else ("n", "exhaustive") if args.exhaustive else ("file",)
+    unused = [f"--{key}" for key in ("n", "file", "exhaustive")
+              if getattr(args, key) is not None and key not in uses]
+    if unused:
+        raise ValueError(f"{', '.join(unused)} not used by --check {args.check} (--n goes "
+                         "with --exhaustive, --file without it, welch takes neither)")
+    if args.exhaustive and args.n is None:
         raise ValueError(f"--check {args.check} --exhaustive needs --n")
     if args.check == "theoremC":
         header = {"command": "bounds", "check": "theoremC", "n": args.n,
@@ -263,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="sequence length (exhaustive modes)")
     p.add_argument("--r", type=int, default=1, help="half-order for theoremC")
     p.add_argument("--s", type=int, default=1, help="max order count for max check")
-    p.add_argument("--exhaustive", action="store_true",
+    p.add_argument("--exhaustive", action="store_true", default=None,  # None: not given
                    help="scan all 2^n sequences instead of reading --file")
     p.add_argument("--file", help="sequence file for per-sequence certificates")
     p.add_argument("--ell", type=int, default=8, help="vector length (welch)")

@@ -69,6 +69,9 @@ class ExperimentConfig:
                     "theta_grid", "lambda_grid"):
             if not np.isfinite(getattr(self, key)).all():
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        for key in ("delta", "slack"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     def echo(self) -> dict:
         out = asdict(self)

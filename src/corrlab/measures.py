@@ -97,20 +97,14 @@ class Normalization:
 
 def colex_offsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All strictly increasing k-tuples from {1, ..., n-1} in colex order."""
-    if k < 1 or k > n - 1:
-        return
     u = list(range(1, k + 1))
-    top = n - 1
-    while True:
+    while k >= 1 and u[-1] < n:
         yield tuple(u)
         i = 0
-        while i < k - 1 and u[i] + 1 == u[i + 1]:
+        while i < k - 1 and u[i] + 1 == u[i + 1]:  # reset the run below the step
+            u[i] = i + 1
             i += 1
-        if i == k - 1 and u[i] == top:
-            return
         u[i] += 1
-        for j in range(i):
-            u[j] = j + 1
 
 
 def colex_rank(offsets: Sequence[int]) -> int:
@@ -212,12 +206,13 @@ def _best_tuple(arr: np.ndarray, tuples: Iterable[tuple[int, ...]]) -> tuple[int
     return best, best_offsets
 
 
-def _window_for_offsets(arr: np.ndarray, offsets: Sequence[int]) -> tuple[int, int]:
-    """Earliest window (m1, m2) whose sum realizes the prefix range."""
+def _result(a: BinarySequence, tuples: Iterable[tuple[int, ...]], exact: bool) -> CorrelationResult:
+    """Best tuple of the stream, with the earliest window that realizes its prefix range."""
+    arr = a.to_array()
+    best, offsets = _best_tuple(arr, tuples)
     prefix = np.cumsum(np.concatenate([[0], _product(arr, offsets)]))  # the walk from 0
-    a = int(prefix.argmax())
-    b = int(prefix.argmin())
-    return min(a, b) + 1, max(a, b)
+    hi, lo = int(prefix.argmax()), int(prefix.argmin())
+    return CorrelationResult(best, ShiftTuple(offsets), (min(hi, lo) + 1, max(hi, lo)), exact)
 
 
 def _check_order(n: int, r: int) -> None:
@@ -239,10 +234,7 @@ def correlation_measure_exact(a: BinarySequence, r: int,
         raise ResourceLimitError(
             f"exact enumeration needs ~{tuples * n:.2e} steps (> budget {work_budget:.0e}); "
             "use correlation_measure_sampled for a lower bound")
-    arr = a.to_array()
-    best, best_offsets = _best_tuple(arr, colex_offsets(n, r - 1))
-    window = _window_for_offsets(arr, best_offsets)
-    return CorrelationResult(best, ShiftTuple(best_offsets), window, exact=True)
+    return _result(a, colex_offsets(n, r - 1), exact=True)
 
 
 def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int,
@@ -251,7 +243,8 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int,
 
     Tuples are drawn without replacement while the budget is at most half the
     tuple space (by rank unranking), with replacement above that, and the whole
-    space is used when the budget covers it.
+    space is used when the budget covers it. The tuples taken times n must stay
+    within DEFAULT_WORK_BUDGET, the exact path's default.
     """
     n = a.length
     _check_order(n, r)
@@ -259,6 +252,10 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int,
         raise ValueError(f"tuple_budget must be >= 1, got {tuple_budget}")
     k = r - 1
     total = math.comb(n - 1, k)
+    steps = min(tuple_budget, total) * n
+    if steps > DEFAULT_WORK_BUDGET:
+        raise ResourceLimitError(f"sampling needs ~{steps:.2e} steps (> budget "
+                                 f"{DEFAULT_WORK_BUDGET:.0e}); lower the tuple budget")
     if tuple_budget >= total:
         chosen: Iterable[tuple[int, ...]] = colex_offsets(n, k)
     else:
@@ -271,11 +268,7 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int,
         else:
             ranks = [rng.randrange(total) for _ in range(tuple_budget)]
         chosen = (colex_unrank(q, k) for q in ranks)
-
-    arr = a.to_array()
-    best, best_offsets = _best_tuple(arr, chosen)
-    window = _window_for_offsets(arr, best_offsets)
-    return CorrelationResult(best, ShiftTuple(best_offsets), window, exact=False)
+    return _result(a, chosen, exact=False)
 
 
 def replay_witness(a: BinarySequence, result: CorrelationResult) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import double_factorial_odd
 from .errors import ResourceLimitError
-from .measures import ShiftTuple
+from .measures import ShiftTuple, _check_order
 from .seqcore import BinarySequence, all_sequences_matrix
 
 NAIVE_MAX_N = 20
@@ -30,8 +30,7 @@ def naive_correlation_measure(a: BinarySequence, r: int) -> int:
     """Literal definition: max over 0 <= u_1 < ... < u_r < n and window ends m
     of |sum_{j=1}^m a_{j+u_1} ... a_{j+u_r}|."""
     n = a.length
-    if r < 2 or r > n:
-        raise ValueError(f"order must satisfy 2 <= r <= n, got r={r}, n={n}")
+    _check_order(n, r)
     if n > NAIVE_MAX_N or r > NAIVE_MAX_R:
         raise ResourceLimitError(
             f"naive oracle is limited to n <= {NAIVE_MAX_N}, r <= {NAIVE_MAX_R}")
@@ -70,8 +69,7 @@ def naive_values_all(n: int, r: int) -> np.ndarray:
     explicit, partial sums anchored at j=1), vectorized across the sequence
     axis only.
     """
-    if r < 2 or r > n:
-        raise ValueError(f"order must satisfy 2 <= r <= n, got r={r}, n={n}")
+    _check_order(n, r)
     mat = all_sequences_matrix(n)
     best = np.zeros(mat.shape[0], dtype=np.int32)
     for offs in combinations(range(n), r):

@@ -121,9 +121,6 @@ class SeedSpec:
             seed = (seed << 64) | int(word)
         return random.Random(seed)
 
-    def stream(self, stream_index: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, stream_index)
-
 
 def _random_bits(n: int, seed: SeedSpec) -> np.ndarray:
     """The n uniform 0/1 draws behind random_sequence (1 encodes the symbol -1)."""

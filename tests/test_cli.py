@@ -230,6 +230,18 @@ class TestCliContract:
                 "--delta", "nan"]),
         (None, ["tail", "--n", "1024", "--samples", "50", "--lambda-mults", "nan"]),
         (None, ["oracle", "--check", "tail", "--n", "12", "--u-offsets", "2", "--lam", "nan"]),
+        (None, ["tail", "--n", "1024", "--samples", "50", "--lambda-mults", "2.5",
+                "--delta", "-1"]),
+        (None, ["tail", "--n", "1024", "--samples", "50", "--lambda-mults", "2.5",
+                "--slack", "-2"]),
+        (None, ["bounds", "--file", "+-++-+---++-+-+++--+", "--check", "theoremC",
+                "--n", "99", "--r", "1"]),
+        (None, ["bounds", "--check", "welch", "--exhaustive", "--file", "/nonexistent.txt",
+                "--n", "5"]),
+        (None, ["bounds", "--check", "max", "--n", "12", "--s", "2", "--exhaustive",
+                "--file", "/nonexistent.txt"]),
+        (None, ["measure", "--file", "+-" * 128, "--order", "6", "--sampled",
+                "--budget", "10000000"]),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):
@@ -239,7 +251,7 @@ class TestCliContract:
             def refuse(*_):
                 raise MemoryError("Unable to allocate 9.09 TiB for an array")
             monkeypatch.setattr(experiments, "_sample_matrix", refuse)
-        if argv[0] in ("report", "scan"):  # the text after the first flag goes to a file
+        if argv[1] in ("--input", "--file"):  # the text after the first flag goes to a file
             path = tmp_path / "input.txt"
             path.write_text(argv[2])
             argv = [*argv[:2], str(path), *argv[3:]]

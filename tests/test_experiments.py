@@ -34,6 +34,9 @@ class TestConfig:
             for key in ("theta_grid", "lambda_grid"):
                 with pytest.raises(ValueError, match=key):
                     xp.ExperimentConfig(n_grid=(64,), **{key: (20.0, bad)})
+        for key in ("delta", "slack"):  # a negative threshold factor or slack
+            with pytest.raises(ValueError, match=key):
+                xp.ExperimentConfig(n_grid=(64,), **{key: -1.0})
 
     def test_negative_dyadic_p_rejected_up_front(self):
         with pytest.raises(ValueError, match="dyadic_p"):

@@ -39,7 +39,9 @@ class TestColexEnumeration:
         got = list(ms.colex_offsets(5, 2))
         assert got == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
 
-    @pytest.mark.parametrize("n,k", [(8, 1), (8, 2), (8, 3), (10, 4)])
+    # (5, 4): k = n - 1; (5, 5): k > n - 1, empty; (2001, 2000): deeper than the recursion limit
+    @pytest.mark.parametrize("n,k", [(8, 1), (8, 2), (8, 3), (10, 4), (5, 4), (5, 5),
+                                     (2001, 2000)])
     def test_complete_and_colex_sorted(self, n, k):
         got = list(ms.colex_offsets(n, k))
         assert len(got) == math.comb(n - 1, k)
@@ -256,6 +258,20 @@ class TestCorrelationMeasureSampled:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             ms.correlation_measure_sampled(sc.all_ones(8), 2, 0, sc.SeedSpec(0, 0))
+
+    def test_work_limit(self, monkeypatch):
+        seq = sc.random_sequence(256, sc.SeedSpec(4, 0))
+        with monkeypatch.context() as patch:  # budget * n at the limit passes, one more fails
+            patch.setattr(ms, "DEFAULT_WORK_BUDGET", 10 * 256)
+            ms.correlation_measure_sampled(seq, 6, 10, sc.SeedSpec(0, 0))
+            with pytest.raises(ResourceLimitError, match="steps"):
+                ms.correlation_measure_sampled(seq, 6, 11, sc.SeedSpec(0, 0))
+        # refused before the first draw: 10^7 tuples x 256 steps > DEFAULT_WORK_BUDGET
+        with pytest.raises(ResourceLimitError, match="steps"):
+            ms.correlation_measure_sampled(seq, 6, 10 ** 7, sc.SeedSpec(0, 0))
+        # the limit counts the tuples taken: a budget above the tuple space is fine
+        res = ms.correlation_measure_sampled(sc.all_ones(8), 3, 10 ** 12, sc.SeedSpec(0, 0))
+        assert res.value == 6
 
 
 class TestNormalization:
