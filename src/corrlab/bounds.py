@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .seqcore import BinarySequence, SeedSpec, all_sequences_matrix
+from .seqcore import BinarySequence, SeedSpec, _check_exhaustive
 from . import measures
 
 # Explicit floor used by the max-of-even-orders certificate; the per-order
@@ -153,9 +153,31 @@ def certify_welch_families(ell: int, m: int, k: int, families: int,
     return reports
 
 
+def _orbit_representatives(n: int) -> np.ndarray:
+    """(n, 2^(n-2)) int8 array whose columns are the sequences with a_1 = a_2 = +1,
+    in enumeration order: `all_sequences_matrix(n)[::4].T`, built without it.
+
+    Rows 0 and 1 are +1, and row j + 2 is -1 where bit j of the column index is set.
+    """
+    _check_exhaustive(n)
+    counter = np.arange(1 << (n - 2), dtype=np.uint32)
+    cols = np.ones((n, counter.size), dtype=np.int8)
+    for j in range(n - 2):
+        cols[j + 2] -= 2 * ((counter >> j) & 1).astype(np.int8)
+    return cols
+
+
 def _exhaustive_worst(n: int, orders: Sequence[int], workers: int) -> list[int]:
-    """Min over all 2^n sequences of max(C_r for r in orders[:i+1]), for each i."""
-    mat = all_sequences_matrix(n)
+    """Min over all 2^n sequences of max(C_r for r in orders[:i+1]), for each i.
+
+    Callers pass even orders only (2r, and 2, 4, ..., 2s). Negation a -> -a
+    fixes every C_r. Alternation a_j -> (-1)^j a_j multiplies each product
+    step by (-1)^(r j + u_2 + ... + u_r), a constant sign for even r, so it
+    fixes even-order C_r. Negation flips (a_1, a_2) together and alternation
+    flips a_1 alone, so every orbit meets a_1 = a_2 = +1: those 2^(n-2)
+    sequences give the same minima as all 2^n.
+    """
+    mat = _orbit_representatives(n).T  # a transposed view: the column scan copies nothing
     running = None
     worst = []
     for r in orders:

@@ -314,8 +314,49 @@ def _as_matrix(seqs) -> np.ndarray:
     return mat
 
 
+def _scan_rows(mat: np.ndarray, r: int) -> np.ndarray:
+    """C_r of every row of a (rows, n) matrix: one product matrix and walk range per tuple."""
+    best = np.zeros(mat.shape[0], dtype=np.int32)
+    for offsets in colex_offsets(mat.shape[1], r - 1):
+        np.maximum(best, _walk_ranges(_product(mat, offsets)), out=best)
+    return best
+
+
+def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
+    """C_r of every column of an (n, rows) matrix, as int32.
+
+    Per tuple, one pass over the n - u_r positions multiplies r rows of `cols`
+    into one step vector and updates running sum, max and min vectors in
+    place, so every operation spans all sequences. Same int16/int32 rule as
+    `_walk_ranges`."""
+    n, rows = cols.shape
+    dtype = np.int16 if n < 32000 else np.int32
+    best = np.zeros(rows, dtype=dtype)
+    step = np.empty(rows, dtype=np.int8)
+    for offsets in colex_offsets(n, r - 1):
+        walk, hi, lo = np.zeros((3, rows), dtype=dtype)
+        for j in range(n - offsets[-1]):
+            np.multiply(cols[j], cols[j + offsets[0]], out=step)
+            for u in offsets[1:]:
+                step *= cols[j + u]
+            walk += step
+            np.maximum(hi, walk, out=hi)
+            np.minimum(lo, walk, out=lo)
+        hi -= lo
+        np.maximum(best, hi, out=best)
+    return best.astype(np.int32)
+
+
 def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
-    """Exact C_r value for every row of a ±1 matrix (or list of sequences).
+    """Exact C_r value for every row of a ±1 matrix (or list of sequences), as int32.
+
+    Two layouts give the same values. A tall matrix (rows >= 8 n) is scanned
+    column by column on its (n, rows) transpose (`_scan_columns`); the
+    transpose is free when `seqs` is already the `.T` of a C-contiguous array.
+    Anything shorter keeps one product matrix per tuple along the rows
+    (`_scan_rows`). Measured at r = 2 (2-core VM), the column scan took this
+    share of the row time: 1.14 at 64 x 16 and 0.82 at 128 x 16, 1.25 at
+    256 x 64 and 0.81 at 512 x 64, 0.22 at 4096 x 256, 17 at 40 x 2048.
 
     `workers` is accepted for interface stability; the tuples are enumerated
     serially, and the result is the same for every value.
@@ -327,10 +368,9 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
         raise ResourceLimitError(
             f"batch kernel would enumerate {math.comb(n - 1, r - 1):.2e} tuples; "
             "use correlation_measure_sampled per sequence instead")
-    best = np.zeros(rows, dtype=np.int32)
-    for offsets in colex_offsets(n, r - 1):
-        np.maximum(best, _walk_ranges(_product(mat, offsets)), out=best)
-    return best
+    if rows >= 8 * n:
+        return _scan_columns(np.ascontiguousarray(mat.T), r)
+    return _scan_rows(mat, r)
 
 
 def range_values_batch(mat: np.ndarray) -> np.ndarray:

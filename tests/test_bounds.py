@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from corrlab import ResourceLimitError
 from corrlab import bounds as bd
 from corrlab import measures as ms
 from corrlab import seqcore as sc
@@ -223,6 +225,44 @@ class TestEvenOrderCertificate:
         for r in (1, 2):
             want = min(bd.certify_theoremC(seq, r).achieved_value for seq in seqs)
             assert bd.certify_theoremC_all(n, r).achieved_value == want
+
+
+class TestExhaustiveOrbits:
+    def test_representatives_are_every_fourth_sequence(self):
+        for n in range(2, 15):
+            cols = bd._orbit_representatives(n)
+            assert cols.dtype == np.int8 and cols.flags.c_contiguous
+            assert np.array_equal(cols.T, sc.all_sequences_matrix(n)[::4])
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_worst_equals_full_enumeration(self, n):
+        orders = list(range(2, n + 1, 2))
+        mat = sc.all_sequences_matrix(n)
+        running = np.zeros(mat.shape[0], dtype=np.int32)
+        want = []
+        for r in orders:
+            np.maximum(running, ms.exact_values_batch(mat, r), out=running)
+            want.append(int(running.min()))
+        assert bd._exhaustive_worst(n, orders, 1) == want
+
+    def test_pinned_values(self):
+        assert bd._exhaustive_worst(16, [2, 4, 6, 8, 10], 1) == [4, 7, 7, 8, 8]
+        rep = bd.certify_theoremC_all(20, 2)
+        assert rep.achieved_value == 8
+        assert rep.construction["sequences"] == 1 << 20
+
+    @pytest.mark.parametrize("certify", [lambda: bd.certify_theoremC_all(25, 1),
+                                         lambda: bd.certify_theorem_max_all(25, [1])],
+                             ids=["theoremC", "max"])
+    def test_limit_is_checked_before_allocating(self, certify):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="exceeds the limit n <= 24"):
+                certify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMaxCertificate:

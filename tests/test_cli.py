@@ -242,6 +242,7 @@ class TestCliContract:
                 "--file", "/nonexistent.txt"]),
         (None, ["measure", "--file", "+-" * 128, "--order", "6", "--sampled",
                 "--budget", "10000000"]),
+        (None, ["bounds", "--check", "theoremC", "--n", "25", "--r", "1", "--exhaustive"]),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):

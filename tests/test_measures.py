@@ -204,6 +204,20 @@ class TestSymmetries:
             assert np.array_equal(values, ms.exact_values_batch(-mat, r))
             assert np.array_equal(values, ms.exact_values_batch(mat[:, ::-1], r))
 
+    def test_alternation_fixes_even_orders(self):
+        for n in range(2, 11):
+            mat = sc.all_sequences_matrix(n)
+            alternated = mat * (-1) ** np.arange(1, n + 1, dtype=np.int8)  # a_j -> (-1)^j a_j
+            for r in range(2, n + 1, 2):
+                assert np.array_equal(ms.exact_values_batch(mat, r),
+                                      ms.exact_values_batch(alternated, r))
+
+    def test_alternation_changes_odd_orders(self):
+        mat = sc.all_sequences_matrix(6)
+        alternated = mat * (-1) ** np.arange(1, 7, dtype=np.int8)
+        assert not np.array_equal(ms.exact_values_batch(mat, 3),
+                                  ms.exact_values_batch(alternated, 3))
+
     def test_monotone_extension_chains(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
@@ -350,6 +364,27 @@ class TestBatchKernels:
             mat = sc.all_sequences_matrix(n)
             for r in range(2, min(4, n) + 1):
                 assert np.array_equal(ms.exact_values_batch(mat, r), orc.naive_values_all(n, r))
+
+    def test_layouts_match_naive_values_all(self):
+        # every order, odd ones and r = n (one tuple, products of length 1) included
+        for n in range(2, 11):
+            mat = sc.all_sequences_matrix(n)
+            cols = np.ascontiguousarray(mat.T)
+            for r in range(2, n + 1):
+                want = orc.naive_values_all(n, r)
+                by_rows, by_columns = ms._scan_rows(mat, r), ms._scan_columns(cols, r)
+                assert by_rows.dtype == by_columns.dtype == np.int32
+                assert np.array_equal(by_rows, want)
+                assert np.array_equal(by_columns, want)
+
+    @pytest.mark.parametrize("rows,layout", [(127, "_scan_rows"), (128, "_scan_columns")])
+    def test_layout_threshold(self, monkeypatch, rows, layout):
+        called = []
+        original = getattr(ms, layout)
+        monkeypatch.setattr(ms, layout, lambda *a: called.append(layout) or original(*a))
+        mat = (1 - 2 * np.random.default_rng(79).integers(0, 2, size=(rows, 16))).astype(np.int8)
+        ms.exact_values_batch(mat, 2)
+        assert called == [layout]
 
     def test_long_walk_uses_wide_prefix_sums(self):
         # 40,000 steps of +1 end at 40,000, which an int16 prefix sum would wrap
