@@ -183,10 +183,12 @@ def _mean_std_err(values: np.ndarray) -> tuple[float, float, float]:
 def estimate_expected_ratio(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Sample mean of C_r / sqrt(2 n log C(n, r-1)) per grid length.
 
-    With at least two grid points, a trend verdict row records whether the
-    means increase strictly with n.
+    The grid must be strictly increasing. With at least two grid points, a
+    trend verdict row records whether the means increase strictly with n.
     """
     t0 = time.perf_counter()
+    if any(b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
+        raise ValueError(f"n_grid must be strictly increasing, got {list(cfg.n_grid)}")
     rows: list[StatRow] = []
     notes: list[str] = []
     means: list[float] = []

@@ -13,6 +13,7 @@ log with exp, which fixes the base.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -314,11 +315,66 @@ def _as_matrix(seqs) -> np.ndarray:
     return mat
 
 
-def _scan_rows(mat: np.ndarray, r: int) -> np.ndarray:
-    """C_r of every row of a (rows, n) matrix: one product matrix and walk range per tuple."""
-    best = np.zeros(mat.shape[0], dtype=np.int32)
-    for offsets in colex_offsets(mat.shape[1], r - 1):
-        np.maximum(best, _walk_ranges(_product(mat, offsets)), out=best)
+@functools.cache
+def _word_tables() -> np.ndarray:
+    """Walk tables for every 16-bit word, built from its two bytes.
+
+    Bit j of a word set means step j is -1, else +1. Rows: the step sum s,
+    the highest and lowest prefix sums (the empty prefix included), and those
+    two less s. Read-only, built on first use (five int16 rows, 640 KB)."""
+    steps = 1 - 2 * ((np.arange(256, dtype=np.int16)[:, None] >> np.arange(8)) & 1)
+    walk = np.cumsum(steps, axis=1, dtype=np.int16)
+    s8, hi8, lo8 = walk[:, -1], np.maximum(walk.max(axis=1), 0), np.minimum(walk.min(axis=1), 0)
+    word = np.arange(1 << 16)
+    low, high = word & 255, word >> 8
+    s = s8[low] + s8[high]
+    hi = np.maximum(hi8[low], s8[low] + hi8[high])
+    lo = np.minimum(lo8[low], s8[low] + lo8[high])
+    tables = np.stack([s, hi, lo, hi - s, lo - s])
+    tables.flags.writeable = False
+    return tables
+
+
+def _scan_words(mat: np.ndarray, r: int) -> np.ndarray:
+    """C_r of every row of a (rows, n) matrix, as int32, on packed 16-bit words.
+
+    Bit j of a row is set where a_j = -1, so a product sequence is the XOR of
+    r shifted bit rows. The rows are packed little-endian into words once per
+    phase p = 0..15 (`phases[p]` starts at bit p), so the shift by u is the
+    word-aligned slice `phases[u & 15][:, u >> 4:]`. A walk's maximum is
+    max_k(T_{k-1} + hi_k) = max_k(T_k + hi_k - s_k) with T the word-level
+    prefix sum, and its minimum likewise: the (sum, max prefix, min prefix)
+    scan monoid (Blelloch 1990). Of the last word only the first L % 16 bits
+    are product steps; the rest are set for the maximum (so the walk only
+    falls after them) and cleared for the minimum (it only rises). The
+    word-level prefix sums are int32 at every length: they cannot wrap, and
+    numpy's int32 running sum measured as fast as its int16 one or faster."""
+    rows, n = mat.shape
+    step_sum, top, bottom, top_less_sum, bottom_less_sum = _word_tables()
+    width = -(-n // 16)
+    packed = np.zeros((16, rows, 2 * width), dtype=np.uint8)
+    for p in range(16):
+        row_bytes = np.packbits(mat[:, p:] < 0, axis=1, bitorder="little")
+        packed[p, :, :row_bytes.shape[1]] = row_bytes
+    phases = packed.view("<u2")
+    best = np.zeros(rows, dtype=np.int32)
+    for offsets in colex_offsets(n, r - 1):
+        full, m = divmod(n - offsets[-1], 16)
+        words = full + (m > 0)
+        prod = phases[0, :, :words].copy()
+        for u in offsets:
+            prod ^= phases[u & 15, :, u >> 4:(u >> 4) + words]
+        head = prod[:, :full]
+        walk = step_sum.take(head).cumsum(axis=1, dtype=np.int32)
+        hi = (walk + top_less_sum.take(head)).max(axis=1, initial=0)
+        lo = (walk + bottom_less_sum.take(head)).min(axis=1, initial=0)
+        if m:
+            last, keep = prod[:, full], (1 << m) - 1
+            end = walk[:, -1] if full else 0
+            np.maximum(hi, top.take(last | (0xFFFF ^ keep)) + end, out=hi)
+            np.minimum(lo, bottom.take(last & keep) + end, out=lo)
+        hi -= lo
+        np.maximum(best, hi, out=best)
     return best
 
 
@@ -353,10 +409,17 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
     Two layouts give the same values. A tall matrix (rows >= 8 n) is scanned
     column by column on its (n, rows) transpose (`_scan_columns`); the
     transpose is free when `seqs` is already the `.T` of a C-contiguous array.
-    Anything shorter keeps one product matrix per tuple along the rows
-    (`_scan_rows`). Measured at r = 2 (2-core VM), the column scan took this
-    share of the row time: 1.14 at 64 x 16 and 0.82 at 128 x 16, 1.25 at
-    256 x 64 and 0.81 at 512 x 64, 0.22 at 4096 x 256, 17 at 40 x 2048.
+    Anything shorter is scanned on packed 16-bit words (`_scan_words`).
+    Measured at r = 2 unless noted (2-core VM), the word scan took this share
+    of the time of a per-tuple int8 product and walk range: 1.18 at 40 x 128,
+    0.97 at 40 x 256, 0.34 at 40 x 2048, 0.38 at 200 x 512 (r = 3), 0.10 at
+    500 x 4096, 0.09 at 200 x 16384. The column scan took this share of the
+    word time: 0.89 at 64 x 16, 0.84 at 128 x 16, 2.16 at 256 x 64, 1.65 at
+    512 x 64, 1.09 at 1024 x 64, 0.68 at 2048 x 64, 0.81 at 4096 x 256, 0.62
+    at 1024 x 12 (r = 4). The crossover moves with n: about 4 n rows at
+    n = 16, about 24 n at n = 64; rows = 8 n splits the callers' shapes
+    (exhaustive certificates at 2^(n-2) x n, Monte Carlo cells with
+    samples < n) the same way.
 
     `workers` is accepted for interface stability; the tuples are enumerated
     serially, and the result is the same for every value.
@@ -370,7 +433,7 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
             "use correlation_measure_sampled per sequence instead")
     if rows >= 8 * n:
         return _scan_columns(np.ascontiguousarray(mat.T), r)
-    return _scan_rows(mat, r)
+    return _scan_words(mat, r)
 
 
 def range_values_batch(mat: np.ndarray) -> np.ndarray:

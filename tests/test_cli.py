@@ -243,6 +243,8 @@ class TestCliContract:
         (None, ["measure", "--file", "+-" * 128, "--order", "6", "--sampled",
                 "--budget", "10000000"]),
         (None, ["bounds", "--check", "theoremC", "--n", "25", "--r", "1", "--exhaustive"]),
+        (None, ["trend", "--n-grid", "2048,16", "--order", "2", "--samples", "4"]),
+        (None, ["trend", "--n-grid", "16,16", "--order", "2", "--samples", "4"]),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):
@@ -298,8 +300,8 @@ PINNED_FILE = "+-++-+---++-+-+++--+\n++--+-+-+++---+-\n"
                   "--seed", "5"],
                  0, "a327d69e473320b28c456c827402fe924d1f37de8f4c909acc989145f52d52b7",
                  id="trend-csv"),
-    pytest.param(["trend", "--n-grid", "128,32", "--samples", "20", "--seed", "5"],
-                 1, "749bbbb046e44294c4047f0212384d0ba441735633d4a355651dbe0ca7ad19f5",
+    pytest.param(["trend", "--n-grid", "32,128", "--samples", "20", "--seed", "2"],
+                 1, "6c5ff6eb93ee32872ae7faa11123a2f1e1637dfa55ba50c69a4dd96f5358ee48",
                  id="trend-failed-verdict"),
     pytest.param(["expect", "--n-grid", "24,48", "--order", "3", "--samples", "10",
                   "--seed", "8", "--format", "json"],

@@ -241,18 +241,19 @@ class TestReports:
                 want = "pass" if row.value <= row.bound + cfg.slack else "fail"
                 assert row.verdict == want
 
-    # Each config reaches a corner of the cell rules: skips in mid-grid, every
-    # order skipped at one n, a repeated n (two grid points, two sample
-    # streams), both band skip reasons, the r = n concentration cell, eps = 0,
+    # Each config reaches a corner of the cell rules: skips at both ends of a
+    # trend grid (it must increase strictly) and in mid-grid, every order
+    # skipped at one n, a repeated n (two grid points, two sample streams),
+    # both band skip reasons, the r = n concentration cell, eps = 0,
     # a dyadic hit and skip, and equal extension lengths.
     PINNED = [
         ("estimate_expected_ratio", dict(n_grid=(64,), r=2, samples=6, master_seed=3),
          "11f59d92204e475f16e7971946f85dcac6a2e9fce79978f3960542f5d68ef7e8",
          "60471fdf9e5dbb23b1e49fbd2b477bafe51fe7d03e15f470e2c397ae1c68ce86"),
-        ("estimate_expected_ratio", dict(n_grid=(3, 64, 4096, 128), r=3, samples=6,
+        ("estimate_expected_ratio", dict(n_grid=(3, 64, 128, 4096), r=3, samples=6,
                                          master_seed=5, work_budget=10 ** 7),
-         "d7e1ca5add7930912784b709867d6dbfa368266ca5ad1478a96da73b58b724f8",
-         "449bd3e5f119473a34d0f19a67e238cc2f621280179b531d668d444cbbc6bdc2"),
+         "d43211fbeda72b50c1cb475514ee672c22341b929644bc824bcebaf989a145e9",
+         "21c0793a370969217bce46f5a2bda16c24bfdb5125efccc3266dc1c1ddd22e72"),
         ("check_uniform_upper", dict(n_grid=(2, 3, 24, 64, 64, 900), r_max=4, samples=6,
                                      master_seed=8, work_budget=10 ** 7),
          "c9f3c42febc8f072984da4674217e79082bb98b24341726b728fb2e13cfb6488",
@@ -284,7 +285,7 @@ class TestReports:
     ]
 
     @pytest.mark.parametrize("name,kwargs,csv_digest,json_digest", PINNED, ids=[
-        "ratio_one_cell", "ratio_mid_grid_skips", "uniform_repeated_n", "uniform_eps_zero",
+        "ratio_one_cell", "ratio_edge_skips", "uniform_repeated_n", "uniform_eps_zero",
         "band_both_skips", "concentration_r_eq_n", "tail_dyadic_hit_and_skip",
         "tail_no_dyadic", "extension_equal_lengths"])
     def test_report_bytes_pinned(self, name, kwargs, csv_digest, json_digest):

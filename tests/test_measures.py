@@ -372,12 +372,12 @@ class TestBatchKernels:
             cols = np.ascontiguousarray(mat.T)
             for r in range(2, n + 1):
                 want = orc.naive_values_all(n, r)
-                by_rows, by_columns = ms._scan_rows(mat, r), ms._scan_columns(cols, r)
-                assert by_rows.dtype == by_columns.dtype == np.int32
-                assert np.array_equal(by_rows, want)
+                by_words, by_columns = ms._scan_words(mat, r), ms._scan_columns(cols, r)
+                assert by_words.dtype == by_columns.dtype == np.int32
+                assert np.array_equal(by_words, want)
                 assert np.array_equal(by_columns, want)
 
-    @pytest.mark.parametrize("rows,layout", [(127, "_scan_rows"), (128, "_scan_columns")])
+    @pytest.mark.parametrize("rows,layout", [(127, "_scan_words"), (128, "_scan_columns")])
     def test_layout_threshold(self, monkeypatch, rows, layout):
         called = []
         original = getattr(ms, layout)
@@ -390,6 +390,7 @@ class TestBatchKernels:
         # 40,000 steps of +1 end at 40,000, which an int16 prefix sum would wrap
         assert ms.range_of_walk(sc.all_ones(40000)) == 40000
         assert list(ms.range_values_batch(np.ones((2, 40000), dtype=np.int8))) == [40000] * 2
+        assert list(ms.exact_values_batch(np.ones((1, 40000), dtype=np.int8), 2)) == [39999]
 
     def test_sampled_never_exceeds_exact_batch(self):
         rng = np.random.default_rng(71)

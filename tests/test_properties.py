@@ -1,7 +1,7 @@
 """Property tests tying the fast kernels to the literal oracles.
 
 Inputs are bounded (n <= 14, r <= 4; the two batch layouts are compared up
-to n = 40, r = 5 and 1,000 tuples) and the search is derandomized, so the
+to n = 80, r = 5 and 1,000 tuples) and the search is derandomized, so the
 module runs in a few seconds and every run draws the same examples.
 """
 
@@ -52,8 +52,9 @@ def test_batch_rows_equal_naive(case):
 
 @st.composite
 def tall_or_wide_matrix(draw):
-    """A ±1 matrix with 1..300 rows, so n = 2..40 falls on both sides of rows = 8 n."""
-    n = draw(st.integers(2, 40))
+    """A ±1 matrix with 1..300 rows and n = 2..80: both sides of rows = 8 n, and
+    products shorter than a 16-bit word, a whole number of words and several words."""
+    n = draw(st.integers(2, 80))
     top = max(r for r in range(2, min(5, n) + 1) if math.comb(n - 1, r - 1) <= 1000)
     rows = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -64,10 +65,10 @@ def tall_or_wide_matrix(draw):
 @given(tall_or_wide_matrix())
 def test_layouts_agree(case):
     mat, r = case
-    by_rows = ms._scan_rows(mat, r)
-    assert by_rows.dtype == np.int32
-    assert np.array_equal(by_rows, ms._scan_columns(np.ascontiguousarray(mat.T), r))
-    assert np.array_equal(by_rows, ms.exact_values_batch(mat, r))
+    by_words = ms._scan_words(mat, r)
+    assert by_words.dtype == np.int32
+    assert np.array_equal(by_words, ms._scan_columns(np.ascontiguousarray(mat.T), r))
+    assert np.array_equal(by_words, ms.exact_values_batch(mat, r))
 
 
 @PROPERTY
