@@ -348,7 +348,7 @@ def _scan_words(mat: np.ndarray, r: int) -> np.ndarray:
     are product steps; the rest are set for the maximum (so the walk only
     falls after them) and cleared for the minimum (it only rises). The
     word-level prefix sums are int32 at every length: they cannot wrap, and
-    numpy's int32 running sum measured as fast as its int16 one or faster."""
+    on long rows numpy's int32 running sum measured faster than its int16 one."""
     rows, n = mat.shape
     step_sum, top, bottom, top_less_sum, bottom_less_sum = _word_tables()
     width = -(-n // 16)
@@ -416,10 +416,10 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
     500 x 4096, 0.09 at 200 x 16384. The column scan took this share of the
     word time: 0.89 at 64 x 16, 0.84 at 128 x 16, 2.16 at 256 x 64, 1.65 at
     512 x 64, 1.09 at 1024 x 64, 0.68 at 2048 x 64, 0.81 at 4096 x 256, 0.62
-    at 1024 x 12 (r = 4). The crossover moves with n: about 4 n rows at
-    n = 16, about 24 n at n = 64; rows = 8 n splits the callers' shapes
-    (exhaustive certificates at 2^(n-2) x n, Monte Carlo cells with
-    samples < n) the same way.
+    at 1024 x 12 (r = 4). The crossover moves with n, from about 4 n rows at
+    n = 16 to about 24 n at n = 64, but rows = 8 n still sends the shapes of
+    the benchmark and the acceptance runs to their faster layout: exhaustive
+    certificates (2^(n-2) x n) to columns, Monte Carlo cells to words.
 
     `workers` is accepted for interface stability; the tuples are enumerated
     serially, and the result is the same for every value.
