@@ -72,7 +72,7 @@ def _cmd_measure(args) -> tuple[str, bool]:
         if args.sampled:
             result = measures.correlation_measure_sampled(
                 seq, args.order, args.budget,
-                seqcore.SeedSpec(args.seed, idx))
+                seqcore.SeedSpec(args.seed, idx), work_budget=args.work_budget)
         else:
             result = measures.correlation_measure_exact(
                 seq, args.order, work_budget=args.work_budget)
@@ -226,7 +226,7 @@ def _add_common(sub, *, workers=True, seed=True, fmt=False, budget=False):
     if budget:
         sub.add_argument("--work-budget", type=int,
                          default=measures.DEFAULT_WORK_BUDGET,
-                         help="exact-enumeration step budget (default 1e9)")
+                         help="step budget, tuples x sequence length (default 1e9)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -199,7 +199,8 @@ def estimate_expected_ratio(cfg: ExperimentConfig, workers: int = 1) -> Experime
             rows.append(_row(cfg, n, r, statistic, value))
     if len(means) >= 2:
         increasing = all(a < b for a, b in zip(means, means[1:]))
-        rows.append(_row(cfg, cfg.n_grid[-1], cfg.r, "ratio_mean_strictly_increasing",
+        # stamped with the last measured n, which a skip can put before the last grid length
+        rows.append(_row(cfg, n, cfg.r, "ratio_mean_strictly_increasing",
                          float(increasing), bound=1.0, ok=increasing))
     return _report("expected_ratio", cfg, rows, notes, t0)
 

@@ -14,10 +14,9 @@ log with exp, which fixes the base.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import ResourceLimitError
 from .seqcore import BinarySequence, SeedSpec
 
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
-_BLOCK_ELEMENTS = 1 << 16  # product-matrix size per tuple block; fastest of 2^14..2^20
+_BLOCK_WORDS = 1 << 15  # packed words per tuple block of _best_tuple; fastest of 2^13..2^16
 _RANGE_ROWS = 4096  # rows per range_values_batch step; bounds its prefix-sum buffer
 
 
@@ -132,6 +131,32 @@ def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _unrank(ranks: Sequence[int], k: int, n: int) -> np.ndarray:
+    """Offsets of colex ranks (a range or a list), as a (len(ranks), k) int64 array.
+
+    For i = k..1, offset i is i + t for the largest t in 0..n-1-k with
+    C(i-1+t, i) <= rank, found by `searchsorted` over that column of
+    binomials, and C(i-1+t, i) then leaves the rank. The column for i = k is
+    k - 1 running sums of 0..n-1-k (the column for i = 1), and each next one
+    the differences of the last. All entries are below the tuple count
+    C(n-1, k), so the arithmetic is exact in int64 while that count is below
+    2^63 (also at r = n, where middle binomials pass 2^63), and on Python
+    ints in object arrays beyond."""
+    dtype = np.int64 if math.comb(n - 1, k) < 1 << 63 else object
+    rank = (np.arange(ranks.start, ranks.stop, dtype=dtype) if isinstance(ranks, range)
+            else np.array(ranks, dtype=dtype))
+    column = np.arange(n - k, dtype=dtype)  # C(t, 1)
+    for _ in range(k - 1):
+        column = column.cumsum()
+    out = np.empty((len(rank), k), dtype=np.int64)
+    for i in range(k, 0, -1):
+        t = np.searchsorted(column, rank, side="right") - 1
+        rank = rank - column[t]
+        out[:, i - 1] = i + t
+        column = np.diff(column, prepend=0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementary operations
 
@@ -150,15 +175,6 @@ def correlation_sum(a: BinarySequence, t: ShiftTuple) -> int:
     """Full-length sum of the product sequence (popcount of the XOR payload)."""
     prod = product_sequence(a, t)
     return prod.length - 2 * prod.bits.bit_count()
-
-
-def _product(a: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
-    """Steps a_j a_{j+u_2} ... a_{j+u_r} along the last axis, of length n - u_r."""
-    length = a.shape[-1] - offsets[-1]
-    prod = a[..., :length] * a[..., offsets[0]:offsets[0] + length]
-    for u in offsets[1:]:
-        prod *= a[..., u:u + length]
-    return prod
 
 
 def _walk_ranges(steps: np.ndarray) -> np.ndarray:
@@ -180,40 +196,48 @@ def range_of_walk(steps: BinarySequence) -> int:
 # exact and sampled measures
 
 
-def _best_tuple(arr: np.ndarray, tuples: Iterable[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
-    """Largest walk range over a stream of offset tuples, with its first maximizer.
+def _best_tuple(arr: np.ndarray, ranks: Sequence[int], k: int) -> tuple[int, tuple[int, ...]]:
+    """Largest walk range over a stream of colex ranks, with its first maximizer.
 
-    Tuples are taken in blocks that form the row axis of one product matrix.
-    The sequence is padded with n zeros, so every row has width n - 1 and the
-    steps past a tuple's product length are 0: each row's range is its tuple's.
-    """
+    Each block of ranks is unranked (`_unrank`) into rows, one per tuple,
+    whose product is the XOR of r shifted word rows of the one sequence
+    (`_pack_phases`). Of a row's words, word w keeps its first
+    clip(L - 16 w, 0, 16) bits, L = n - u_r the product length; the rest are
+    set for the maximum (so the walk only falls after the product) and
+    cleared for the minimum (it only rises), and the range is read from
+    `_word_tables` as in `_scan_words`. The first maximizer in stream order
+    wins: argmax inside a block, strict > across blocks."""
     n = arr.shape[0]
-    padded = np.concatenate([arr, np.zeros(n, dtype=arr.dtype)])
-    shifted = np.lib.stride_tricks.sliding_window_view(padded, n - 1)  # row u = a shifted by u
-    head = arr[:n - 1]
-    block = max(1, _BLOCK_ELEMENTS // n)
+    width = -(-n // 16)
+    flat = _pack_phases(arr[None, :], 2 * width).ravel()  # a shift plus `width` words fit a phase
+    step_sum, _, _, top_less_sum, bottom_less_sum = _word_tables()
+    block = max(1, _BLOCK_WORDS // width)
     best, best_offsets = -1, None
-    stream = iter(tuples)
-    while chunk := list(itertools.islice(stream, block)):
-        offsets = np.array(chunk)
-        prod = shifted[offsets[:, 0]]
-        for column in offsets.T[1:]:
-            prod *= shifted[column]
-        prod *= head
-        ranges = _walk_ranges(prod)
+    for start in range(0, len(ranks), block):
+        offsets = _unrank(ranks[start:start + block], k, n)
+        lengths = n - offsets[:, -1:]
+        lanes = np.arange(-(-int(lengths.max()) // 16))
+        prod = flat[lanes]  # u_1 = 0
+        for u in offsets.T:
+            prod = prod ^ flat.take(((u & 15) * 2 * width + (u >> 4))[:, None] + lanes)
+        keep = ((1 << np.clip(lengths - 16 * lanes, 0, 16)) - 1).astype(np.uint16)
+        hi_words, lo_words = prod | ~keep, prod & keep
+        hi = step_sum.take(hi_words).cumsum(axis=1, dtype=np.int32) + top_less_sum.take(hi_words)
+        lo = step_sum.take(lo_words).cumsum(axis=1, dtype=np.int32) + bottom_less_sum.take(lo_words)
+        ranges = hi.max(axis=1, initial=0) - lo.min(axis=1, initial=0)
         i = int(ranges.argmax())
         if ranges[i] > best:
-            best, best_offsets = int(ranges[i]), chunk[i]
+            best, best_offsets = int(ranges[i]), tuple(offsets[i].tolist())
     return best, best_offsets
 
 
-def _result(a: BinarySequence, tuples: Iterable[tuple[int, ...]], exact: bool) -> CorrelationResult:
-    """Best tuple of the stream, with the earliest window that realizes its prefix range."""
-    arr = a.to_array()
-    best, offsets = _best_tuple(arr, tuples)
-    prefix = np.cumsum(np.concatenate([[0], _product(arr, offsets)]))  # the walk from 0
+def _result(a: BinarySequence, ranks: Sequence[int], k: int, exact: bool) -> CorrelationResult:
+    """Best tuple of the colex ranks, with the earliest window that realizes its prefix range."""
+    best, offsets = _best_tuple(a.to_array(), ranks, k)
+    witness = ShiftTuple(offsets)
+    prefix = np.cumsum(np.concatenate([[0], product_sequence(a, witness).to_array()]))  # from 0
     hi, lo = int(prefix.argmax()), int(prefix.argmin())
-    return CorrelationResult(best, ShiftTuple(offsets), (min(hi, lo) + 1, max(hi, lo)), exact)
+    return CorrelationResult(best, witness, (min(hi, lo) + 1, max(hi, lo)), exact)
 
 
 def _check_order(n: int, r: int) -> None:
@@ -233,19 +257,19 @@ def correlation_measure_exact(a: BinarySequence, r: int,
     tuples = math.comb(n - 1, r - 1)
     if tuples * n > work_budget:
         raise ResourceLimitError(
-            f"exact enumeration needs ~{tuples * n:.2e} steps (> budget {work_budget:.0e}); "
+            f"exact enumeration needs ~{tuples * n:.2e} steps (> budget {work_budget:,}); "
             "use correlation_measure_sampled for a lower bound")
-    return _result(a, colex_offsets(n, r - 1), exact=True)
+    return _result(a, range(tuples), r - 1, exact=True)
 
 
-def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int,
-                                seed: SeedSpec) -> CorrelationResult:
+def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int, seed: SeedSpec,
+                                work_budget: int = DEFAULT_WORK_BUDGET) -> CorrelationResult:
     """Max over a random set of shift tuples: a reproducible lower bound on C_r.
 
     Tuples are drawn without replacement while the budget is at most half the
     tuple space (by rank unranking), with replacement above that, and the whole
     space is used when the budget covers it. The tuples taken times n must stay
-    within DEFAULT_WORK_BUDGET, the exact path's default.
+    within `work_budget`, as on the exact path.
     """
     n = a.length
     _check_order(n, r)
@@ -254,12 +278,11 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int,
     k = r - 1
     total = math.comb(n - 1, k)
     steps = min(tuple_budget, total) * n
-    if steps > DEFAULT_WORK_BUDGET:
+    if steps > work_budget:
         raise ResourceLimitError(f"sampling needs ~{steps:.2e} steps (> budget "
-                                 f"{DEFAULT_WORK_BUDGET:.0e}); lower the tuple budget")
-    if tuple_budget >= total:
-        chosen: Iterable[tuple[int, ...]] = colex_offsets(n, k)
-    else:
+                                 f"{work_budget:,}); lower the tuple budget")
+    ranks: Sequence[int] = range(total)
+    if tuple_budget < total:
         rng = seed.py_random()
         if tuple_budget <= total // 2:
             seen: dict[int, None] = {}  # insertion-ordered distinct ranks
@@ -268,8 +291,7 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int,
             ranks = list(seen)
         else:
             ranks = [rng.randrange(total) for _ in range(tuple_budget)]
-        chosen = (colex_unrank(q, k) for q in ranks)
-    return _result(a, chosen, exact=False)
+    return _result(a, ranks, k, exact=False)
 
 
 def replay_witness(a: BinarySequence, result: CorrelationResult) -> int:
@@ -335,13 +357,22 @@ def _word_tables() -> np.ndarray:
     return tables
 
 
+def _pack_phases(mat: np.ndarray, words: int) -> np.ndarray:
+    """The -1 bits of each row, packed little-endian into `words` 16-bit words once per
+    phase p = 0..15 (`phases[p]` starts at bit p), zero past the row: (16, rows, words)."""
+    packed = np.zeros((16, mat.shape[0], 2 * words), dtype=np.uint8)
+    for p in range(16):
+        row_bytes = np.packbits(mat[:, p:] < 0, axis=1, bitorder="little")
+        packed[p, :, :row_bytes.shape[1]] = row_bytes
+    return packed.view("<u2")
+
+
 def _scan_words(mat: np.ndarray, r: int) -> np.ndarray:
     """C_r of every row of a (rows, n) matrix, as int32, on packed 16-bit words.
 
-    Bit j of a row is set where a_j = -1, so a product sequence is the XOR of
-    r shifted bit rows. The rows are packed little-endian into words once per
-    phase p = 0..15 (`phases[p]` starts at bit p), so the shift by u is the
-    word-aligned slice `phases[u & 15][:, u >> 4:]`. A walk's maximum is
+    A product sequence is the XOR of r shifted rows of -1 bits, and on the
+    phases of `_pack_phases` the shift by u is the word-aligned slice
+    `phases[u & 15][:, u >> 4:]`. A walk's maximum is
     max_k(T_{k-1} + hi_k) = max_k(T_k + hi_k - s_k) with T the word-level
     prefix sum, and its minimum likewise: the (sum, max prefix, min prefix)
     scan monoid (Blelloch 1990). Of the last word only the first L % 16 bits
@@ -351,12 +382,7 @@ def _scan_words(mat: np.ndarray, r: int) -> np.ndarray:
     on long rows numpy's int32 running sum measured faster than its int16 one."""
     rows, n = mat.shape
     step_sum, top, bottom, top_less_sum, bottom_less_sum = _word_tables()
-    width = -(-n // 16)
-    packed = np.zeros((16, rows, 2 * width), dtype=np.uint8)
-    for p in range(16):
-        row_bytes = np.packbits(mat[:, p:] < 0, axis=1, bitorder="little")
-        packed[p, :, :row_bytes.shape[1]] = row_bytes
-    phases = packed.view("<u2")
+    phases = _pack_phases(mat, -(-n // 16))
     best = np.zeros(rows, dtype=np.int32)
     for offsets in colex_offsets(n, r - 1):
         full, m = divmod(n - offsets[-1], 16)

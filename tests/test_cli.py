@@ -242,6 +242,8 @@ class TestCliContract:
                 "--file", "/nonexistent.txt"]),
         (None, ["measure", "--file", "+-" * 128, "--order", "6", "--sampled",
                 "--budget", "10000000"]),
+        (None, ["measure", "--file", "+-" * 128, "--order", "6", "--sampled",
+                "--budget", "10", "--work-budget", "2559"]),  # 10 tuples x 256 steps
         (None, ["bounds", "--check", "theoremC", "--n", "25", "--r", "1", "--exhaustive"]),
         (None, ["trend", "--n-grid", "2048,16", "--order", "2", "--samples", "4"]),
         (None, ["trend", "--n-grid", "16,16", "--order", "2", "--samples", "4"]),

@@ -58,6 +58,12 @@ class TestExpectedRatio:
         assert all(0 < m < 1.5 for m in means)
         trend = rep.row("ratio_mean_strictly_increasing")
         assert trend.verdict in ("pass", "fail")
+        assert trend.n == 128
+
+    def test_trend_row_stamped_with_last_measured_n(self):
+        cfg = xp.ExperimentConfig(n_grid=(16, 64, 4096), r=3, samples=5, master_seed=1,
+                                  work_budget=10 ** 7)  # 4096 is skipped
+        assert xp.estimate_expected_ratio(cfg).row("ratio_mean_strictly_increasing").n == 64
 
     def test_infeasible_cell_noted_not_dropped(self):
         cfg = xp.ExperimentConfig(n_grid=(64, 4096), r=4, samples=5, master_seed=1,
@@ -252,8 +258,8 @@ class TestReports:
          "60471fdf9e5dbb23b1e49fbd2b477bafe51fe7d03e15f470e2c397ae1c68ce86"),
         ("estimate_expected_ratio", dict(n_grid=(3, 64, 128, 4096), r=3, samples=6,
                                          master_seed=5, work_budget=10 ** 7),
-         "d43211fbeda72b50c1cb475514ee672c22341b929644bc824bcebaf989a145e9",
-         "21c0793a370969217bce46f5a2bda16c24bfdb5125efccc3266dc1c1ddd22e72"),
+         "3908131d7afa0f104d82507edf5d147a713a0b36aca7411a5141fa89799cd72a",
+         "d7ccb5627c4000fc74885a68c7a2bf218ad8c82cd11200483bc3800d57dffab6"),
         ("check_uniform_upper", dict(n_grid=(2, 3, 24, 64, 64, 900), r_max=4, samples=6,
                                      master_seed=8, work_budget=10 ** 7),
          "c9f3c42febc8f072984da4674217e79082bb98b24341726b728fb2e13cfb6488",

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -58,6 +59,41 @@ class TestColexEnumeration:
         rank = math.comb(10 ** 6, 4) // 3
         offs = ms.colex_unrank(rank, 4)
         assert ms.colex_rank(offs) == rank
+
+    @staticmethod
+    def check_vector_unrank(ranks, k, n):
+        got = ms._unrank(ranks, k, n)
+        assert got.dtype == np.int64 and got.shape == (len(ranks), k)
+        rows = [tuple(row) for row in got.tolist()]
+        assert rows == [ms.colex_unrank(q, k) for q in ranks]
+        assert [ms.colex_rank(row) for row in rows] == list(ranks)
+
+    def test_vector_unrank_full_spaces(self):
+        for n in range(2, 13):
+            for k in range(1, n):
+                total = math.comb(n - 1, k)
+                self.check_vector_unrank(range(total), k, n)
+                assert [tuple(row) for row in ms._unrank(list(range(total)), k, n).tolist()] \
+                    == list(ms.colex_offsets(n, k))
+
+    def test_vector_unrank_random_ranks(self):
+        rng = random.Random(5)
+        total = math.comb(255, 5)
+        self.check_vector_unrank([rng.randrange(total) for _ in range(500)], 5, 256)
+
+    # C(66, 33) is just below 2^63 (int64 ranks), C(2999, 9) above it (Python ints)
+    @pytest.mark.parametrize("n,k", [(67, 33), (3000, 9)])
+    def test_vector_unrank_near_and_past_int64(self, n, k):
+        total = math.comb(n - 1, k)
+        rng = random.Random(n)
+        ranks = [0, 1, total // 2, total - 1] + [rng.randrange(total) for _ in range(50)]
+        self.check_vector_unrank(ranks, k, n)
+        self.check_vector_unrank(range(total - 3, total), k, n)
+
+    def test_vector_unrank_r_equals_n(self):
+        # one tuple, though the middle binomials C(99, 49) pass 2^63
+        self.check_vector_unrank(range(1), 99, 100)
+        assert ms._unrank([0], 99, 100).tolist() == [list(range(1, 100))]
 
 
 class TestProductSequence:
@@ -171,8 +207,9 @@ class TestCorrelationMeasureExact:
     def test_witness_is_first_colex_maximizer(self):
         rng = np.random.default_rng(41)
         seqs = [random_seq(rng, int(rng.integers(5, 14))) for _ in range(30)]
-        # n=128 has 8,001 tuples, enumerated in several blocks
+        # n=128 has 8,001 tuples in two blocks, n=256 has 32,385 in sixteen
         seqs += [sc.random_sequence(128, sc.SeedSpec(s, 0)) for s in (0, 21)]
+        seqs.append(sc.random_sequence(256, sc.SeedSpec(3, 0)))
         maximizers = []
         for seq in seqs:
             res = ms.correlation_measure_exact(seq, 3)
@@ -181,9 +218,9 @@ class TestCorrelationMeasureExact:
             assert res.value == max(ranges)
             maximizers.append([q for q, v in enumerate(ranges) if v == res.value])
             assert ms.colex_rank(res.witness_tuple.offsets) == maximizers[-1][0]
-        # seed 0 reaches its maximum in more than one block
-        block = ms._BLOCK_ELEMENTS // 128
-        assert len({q // block for q in maximizers[-2]}) > 1
+        # seed 3 at n=256 reaches its maximum in more than one block (16 words a row)
+        block = ms._BLOCK_WORDS // 16
+        assert len({q // block for q in maximizers[-1]}) > 1
 
 
 class TestSymmetries:
@@ -273,13 +310,12 @@ class TestCorrelationMeasureSampled:
         with pytest.raises(ValueError):
             ms.correlation_measure_sampled(sc.all_ones(8), 2, 0, sc.SeedSpec(0, 0))
 
-    def test_work_limit(self, monkeypatch):
+    def test_work_limit(self):
         seq = sc.random_sequence(256, sc.SeedSpec(4, 0))
-        with monkeypatch.context() as patch:  # budget * n at the limit passes, one more fails
-            patch.setattr(ms, "DEFAULT_WORK_BUDGET", 10 * 256)
-            ms.correlation_measure_sampled(seq, 6, 10, sc.SeedSpec(0, 0))
-            with pytest.raises(ResourceLimitError, match="steps"):
-                ms.correlation_measure_sampled(seq, 6, 11, sc.SeedSpec(0, 0))
+        # budget * n at the limit passes, one more fails
+        ms.correlation_measure_sampled(seq, 6, 10, sc.SeedSpec(0, 0), work_budget=10 * 256)
+        with pytest.raises(ResourceLimitError, match="steps"):
+            ms.correlation_measure_sampled(seq, 6, 11, sc.SeedSpec(0, 0), work_budget=10 * 256)
         # refused before the first draw: 10^7 tuples x 256 steps > DEFAULT_WORK_BUDGET
         with pytest.raises(ResourceLimitError, match="steps"):
             ms.correlation_measure_sampled(seq, 6, 10 ** 7, sc.SeedSpec(0, 0))

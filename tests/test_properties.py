@@ -1,11 +1,13 @@
 """Property tests tying the fast kernels to the literal oracles.
 
 Inputs are bounded (n <= 14, r <= 4; the two batch layouts are compared up
-to n = 80, r = 5 and 1,000 tuples) and the search is derandomized, so the
+to n = 80, r = 5 and 1,000 tuples, and the single-sequence word reduction up
+to n = 80, r = 5 and 40 tuples) and the search is derandomized, so the
 module runs in a few seconds and every run draws the same examples.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -69,6 +71,28 @@ def test_layouts_agree(case):
     assert by_words.dtype == np.int32
     assert np.array_equal(by_words, ms._scan_columns(np.ascontiguousarray(mat.T), r))
     assert np.array_equal(by_words, ms.exact_values_batch(mat, r))
+
+
+@st.composite
+def sequence_and_ranks(draw):
+    """A sequence of n = 2..80 (products shorter than a word, whole words and
+    several words), colex ranks in stream order with repeats, and a block size."""
+    seq = draw(sequences(min_n=2, max_n=80))
+    k = draw(st.integers(1, min(4, seq.length - 1)))
+    total = math.comb(seq.length - 1, k)
+    ranks = draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=40))
+    return seq, k, ranks, draw(st.sampled_from([16, 64, 1 << 15]))
+
+
+@PROPERTY
+@given(sequence_and_ranks())
+def test_best_tuple_is_first_maximizer(case):
+    seq, k, ranks, block_words = case
+    tuples = [ms.colex_unrank(q, k) for q in ranks]
+    ranges = [ms.range_of_walk(ms.product_sequence(seq, ms.ShiftTuple(t))) for t in tuples]
+    with mock.patch.object(ms, "_BLOCK_WORDS", block_words):  # 16 words: a block per row at n <= 16
+        got = ms._best_tuple(seq.to_array(), ranks, k)
+    assert got == (max(ranges), tuples[ranges.index(max(ranges))])
 
 
 @PROPERTY
