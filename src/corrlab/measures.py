@@ -25,7 +25,6 @@ from .seqcore import BinarySequence, SeedSpec
 
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
 _BLOCK_WORDS = 1 << 15  # packed words per tuple block of _best_tuple; fastest of 2^13..2^16
-_RANGE_ROWS = 4096  # rows per range_values_batch step; bounds its prefix-sum buffer
 
 
 @dataclass(frozen=True)
@@ -177,19 +176,9 @@ def correlation_sum(a: BinarySequence, t: ShiftTuple) -> int:
     return prod.length - 2 * prod.bits.bit_count()
 
 
-def _walk_ranges(steps: np.ndarray) -> np.ndarray:
-    """Range of the walk along the last axis of a step array, as int32.
-
-    Steps are ±1; 0 steps are padding and leave the walk flat. Prefix sums are
-    int16 while that type holds ±length, int32 beyond."""
-    cum = np.cumsum(steps, axis=-1, dtype=np.int16 if steps.shape[-1] < 32000 else np.int32)
-    hi = np.maximum(cum.max(axis=-1), 0, dtype=np.int32)
-    return hi - np.minimum(cum.min(axis=-1), 0, dtype=np.int32)
-
-
 def range_of_walk(steps: BinarySequence) -> int:
     """Max over all windows of |window sum| = (max - min) of the prefix-sum path."""
-    return int(_walk_ranges(steps.to_array()))
+    return int(range_values_batch(steps.to_array()[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +194,11 @@ def _best_tuple(arr: np.ndarray, ranks: Sequence[int], k: int) -> tuple[int, tup
     clip(L - 16 w, 0, 16) bits, L = n - u_r the product length; the rest are
     set for the maximum (so the walk only falls after the product) and
     cleared for the minimum (it only rises), and the range is read from
-    `_word_tables` as in `_scan_words`. The first maximizer in stream order
+    `_word_tables` as in `_word_ranges`. The first maximizer in stream order
     wins: argmax inside a block, strict > across blocks."""
     n = arr.shape[0]
     width = -(-n // 16)
-    flat = _pack_phases(arr[None, :], 2 * width).ravel()  # a shift plus `width` words fit a phase
+    flat = _pack_phases(arr[None, :], 2 * width, 16).ravel()  # fits a shift plus `width` words
     step_sum, _, _, top_less_sum, bottom_less_sum = _word_tables()
     block = max(1, _BLOCK_WORDS // width)
     best, best_offsets = -1, None
@@ -334,16 +323,18 @@ def _as_matrix(seqs) -> np.ndarray:
         mat = np.stack([s.to_array() for s in seqs])
     if mat.ndim != 2:
         raise ValueError("expected a 2-d matrix of ±1 rows")
+    if not mat.shape[1]:
+        raise ValueError("matrix rows need at least one entry of -1 or +1")
     return mat
 
 
 @functools.cache
-def _word_tables() -> np.ndarray:
+def _word_tables() -> tuple[np.ndarray, ...]:
     """Walk tables for every 16-bit word, built from its two bytes.
 
-    Bit j of a word set means step j is -1, else +1. Rows: the step sum s,
+    Bit j of a word set means step j is -1, else +1. Tables: the step sum s,
     the highest and lowest prefix sums (the empty prefix included), and those
-    two less s. Read-only, built on first use (five int16 rows, 640 KB)."""
+    two less s. Read-only, built on first use (five int16 tables, 640 KB)."""
     steps = 1 - 2 * ((np.arange(256, dtype=np.int16)[:, None] >> np.arange(8)) & 1)
     walk = np.cumsum(steps, axis=1, dtype=np.int16)
     s8, hi8, lo8 = walk[:, -1], np.maximum(walk.max(axis=1), 0), np.minimum(walk.min(axis=1), 0)
@@ -354,17 +345,42 @@ def _word_tables() -> np.ndarray:
     lo = np.minimum(lo8[low], s8[low] + lo8[high])
     tables = np.stack([s, hi, lo, hi - s, lo - s])
     tables.flags.writeable = False
-    return tables
+    return tuple(tables)
 
 
-def _pack_phases(mat: np.ndarray, words: int) -> np.ndarray:
-    """The -1 bits of each row, packed little-endian into `words` 16-bit words once per
-    phase p = 0..15 (`phases[p]` starts at bit p), zero past the row: (16, rows, words)."""
-    packed = np.zeros((16, mat.shape[0], 2 * words), dtype=np.uint8)
-    for p in range(16):
+def _pack_phases(mat: np.ndarray, words: int, phases: int) -> np.ndarray:
+    """The -1 bits of each row, packed little-endian into `words` 16-bit words once per phase
+    p < `phases` (`packed[p]` starts at bit p), zero past the row: (phases, rows, words)."""
+    packed = np.zeros((phases, mat.shape[0], 2 * words), dtype=np.uint8)
+    for p in range(phases):
         row_bytes = np.packbits(mat[:, p:] < 0, axis=1, bitorder="little")
         packed[p, :, :row_bytes.shape[1]] = row_bytes
     return packed.view("<u2")
+
+
+def _word_ranges(prod: np.ndarray, length: int) -> np.ndarray:
+    """Walk range of each row of packed words whose first `length` bits are the steps, as int32.
+
+    A walk's maximum is max_k(T_{k-1} + hi_k) = max_k(T_k + hi_k - s_k) with T
+    the word-level prefix sum, and its minimum likewise: the (sum, max prefix,
+    min prefix) scan monoid (Blelloch 1990). Of the last word only the first
+    length % 16 bits are steps; the rest are set for the maximum (so the walk
+    only falls after them) and cleared for the minimum (it only rises). The
+    prefix sums are int32: they cannot wrap, and on long rows numpy's int32
+    running sum measured faster than its int16 one."""
+    step_sum, top, bottom, top_less_sum, bottom_less_sum = _word_tables()
+    full, m = divmod(length, 16)
+    head = prod[:, :full]
+    walk = step_sum.take(head).cumsum(axis=1, dtype=np.int32)
+    hi = (walk + top_less_sum.take(head)).max(axis=1, initial=0)
+    lo = (walk + bottom_less_sum.take(head)).min(axis=1, initial=0)
+    if m:
+        last, keep = prod[:, full], (1 << m) - 1
+        end = walk[:, -1] if full else 0
+        np.maximum(hi, top.take(last | (0xFFFF ^ keep)) + end, out=hi)
+        np.minimum(lo, bottom.take(last & keep) + end, out=lo)
+    hi -= lo
+    return hi
 
 
 def _scan_words(mat: np.ndarray, r: int) -> np.ndarray:
@@ -372,35 +388,17 @@ def _scan_words(mat: np.ndarray, r: int) -> np.ndarray:
 
     A product sequence is the XOR of r shifted rows of -1 bits, and on the
     phases of `_pack_phases` the shift by u is the word-aligned slice
-    `phases[u & 15][:, u >> 4:]`. A walk's maximum is
-    max_k(T_{k-1} + hi_k) = max_k(T_k + hi_k - s_k) with T the word-level
-    prefix sum, and its minimum likewise: the (sum, max prefix, min prefix)
-    scan monoid (Blelloch 1990). Of the last word only the first L % 16 bits
-    are product steps; the rest are set for the maximum (so the walk only
-    falls after them) and cleared for the minimum (it only rises). The
-    word-level prefix sums are int32 at every length: they cannot wrap, and
-    on long rows numpy's int32 running sum measured faster than its int16 one."""
+    `phases[u & 15][:, u >> 4:]`; `_word_ranges` reads its walk range."""
     rows, n = mat.shape
-    step_sum, top, bottom, top_less_sum, bottom_less_sum = _word_tables()
-    phases = _pack_phases(mat, -(-n // 16))
+    phases = _pack_phases(mat, -(-n // 16), 16)
     best = np.zeros(rows, dtype=np.int32)
     for offsets in colex_offsets(n, r - 1):
-        full, m = divmod(n - offsets[-1], 16)
-        words = full + (m > 0)
+        length = n - offsets[-1]
+        words = -(-length // 16)
         prod = phases[0, :, :words].copy()
         for u in offsets:
             prod ^= phases[u & 15, :, u >> 4:(u >> 4) + words]
-        head = prod[:, :full]
-        walk = step_sum.take(head).cumsum(axis=1, dtype=np.int32)
-        hi = (walk + top_less_sum.take(head)).max(axis=1, initial=0)
-        lo = (walk + bottom_less_sum.take(head)).min(axis=1, initial=0)
-        if m:
-            last, keep = prod[:, full], (1 << m) - 1
-            end = walk[:, -1] if full else 0
-            np.maximum(hi, top.take(last | (0xFFFF ^ keep)) + end, out=hi)
-            np.minimum(lo, bottom.take(last & keep) + end, out=lo)
-        hi -= lo
-        np.maximum(best, hi, out=best)
+        np.maximum(best, _word_ranges(prod, length), out=best)
     return best
 
 
@@ -409,8 +407,8 @@ def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
 
     Per tuple, one pass over the n - u_r positions multiplies r rows of `cols`
     into one step vector and updates running sum, max and min vectors in
-    place, so every operation spans all sequences. Same int16/int32 rule as
-    `_walk_ranges`."""
+    place, so every operation spans all sequences. The running sums are int16
+    while that type holds ±n (n < 32,000), int32 beyond."""
     n, rows = cols.shape
     dtype = np.int16 if n < 32000 else np.int32
     best = np.zeros(rows, dtype=dtype)
@@ -463,9 +461,8 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
 
 
 def range_values_batch(mat: np.ndarray) -> np.ndarray:
-    """Walk range for every row of a ±1 step matrix."""
+    """Walk range for every row of a ±1 step matrix, as int32, on packed 16-bit words:
+    phase 0 of `_pack_phases`, read by `_word_ranges` as every product of `_scan_words`."""
     mat = _as_matrix(mat)
-    out = np.empty(mat.shape[0], dtype=np.int32)
-    for start in range(0, mat.shape[0], _RANGE_ROWS):
-        out[start:start + _RANGE_ROWS] = _walk_ranges(mat[start:start + _RANGE_ROWS])
-    return out
+    n = mat.shape[1]
+    return _word_ranges(_pack_phases(mat, -(-n // 16), 1)[0], n)

@@ -3,7 +3,8 @@
 A sequence (a_1, ..., a_n) over {-1, +1} is stored as a Python integer whose
 bit j encodes a_{j+1} = (-1)^bit. Symbol products are then XOR and window sums
 popcounts (the bit path of `product_sequence`, `correlation_sum` and
-`replay_witness`); the correlation kernels run on the int8 `to_array` view.
+`replay_witness`); the kernels of `measures` pack the int8 `to_array` view
+into 16-bit words, except the column scan of tall matrices.
 """
 
 from __future__ import annotations

@@ -382,6 +382,7 @@ class TestBatchKernels:
         np.full((2, 6), 3),
         np.array([[1.0, -1.0, 0.5, 1.0]]),
         np.array([[1, 257, 1, -1]]),
+        np.empty((3, 0), dtype=np.int8),
     ])
     def test_rejects_entries_other_than_pm1(self, bad):
         with pytest.raises(ValueError, match="-1 or \\+1"):
@@ -390,10 +391,13 @@ class TestBatchKernels:
             ms.range_values_batch(bad)
 
     def test_range_batch(self):
+        # every width 1..48: each residue mod 16, rows shorter than a word, whole words
         rng = np.random.default_rng(67)
-        seqs = [random_seq(rng, 100) for _ in range(30)]
-        got = ms.range_values_batch(np.stack([s.to_array() for s in seqs]))
-        assert [ms.range_of_walk(s) for s in seqs] == list(got)
+        for n in range(1, 49):
+            seqs = [sc.all_ones(n), *(random_seq(rng, n) for _ in range(6))]
+            got = ms.range_values_batch(np.stack([s.to_array() for s in seqs]))
+            assert got.dtype == np.int32
+            assert [orc.naive_range(s) for s in seqs] == list(got)
 
     def test_matches_naive_values_all(self):
         for n in range(2, 11):
