@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import log_binomial
 from . import measures
-from .seqcore import SeedSpec, _random_bits
+from .seqcore import _random_bits
 from .seqcore import random_sequence  # noqa: F401  (perfbench/tracing.py patches this name)
 
 FORMATS = ("csv", "json")
@@ -123,10 +123,17 @@ class ExperimentReport:
 
 
 def _sample_matrix(n: int, samples: int, master_seed: int, base_stream: int) -> np.ndarray:
-    """Row i is random_sequence(n, SeedSpec(master_seed, base_stream + i)) as ±1 symbols."""
+    """Row i is random_sequence(n, SeedSpec(master_seed, base_stream + i)) as ±1 symbols.
+
+    The rows are `seqcore._random_bits` (numpy's seeded Philox draws: bit j is the
+    top bit of output byte j under the key SeedSequence gives the stream, as in
+    numpy/random/bit_generator.pyx), unpacked. The output is allocated first, so
+    a sample count too large to hold fails before any key is hashed."""
     mat = np.empty((samples, n), dtype=np.int8)
-    for i in range(samples):
-        mat[i] = 1 - 2 * _random_bits(n, SeedSpec(master_seed, base_stream + i)).astype(np.int8)
+    packed = _random_bits(n, master_seed, range(base_stream, base_stream + samples))
+    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.int8)
+    np.multiply(bits, -2, out=mat)
+    mat += 1
     return mat
 
 

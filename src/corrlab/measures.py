@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -273,7 +274,10 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int, se
     ranks: Sequence[int] = range(total)
     if tuple_budget < total:
         rng = seed.py_random()
-        if tuple_budget <= total // 2:
+        distinct = tuple_budget <= total // 2
+        if total < 1 << 64:
+            ranks = _draw_ranks(rng, total, tuple_budget, distinct)
+        elif distinct:
             seen: dict[int, None] = {}  # insertion-ordered distinct ranks
             while len(seen) < tuple_budget:
                 seen.setdefault(rng.randrange(total))
@@ -281,6 +285,29 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int, se
         else:
             ranks = [rng.randrange(total) for _ in range(tuple_budget)]
     return _result(a, ranks, k, exact=False)
+
+
+def _draw_ranks(rng: random.Random, total: int, budget: int, distinct: bool) -> list[int]:
+    """The first `budget` values (the first `budget` distinct ones if `distinct`) of
+    repeated rng.randrange(total), for 2 <= total < 2^64, from bulk getrandbits calls.
+
+    randrange draws getrandbits(b), b = total.bit_length(), until the value is below
+    total. getrandbits(b) takes one 32-bit Mersenne Twister word w when b <= 32
+    (w >> (32 - b)), and two words w0, w1 otherwise (w0 | (w1 >> (64 - b)) << 32);
+    getrandbits(32 m) returns m words, the first in the low bits. Extra words are
+    drawn when short; the generator is not used again, so the surplus is harmless."""
+    b = total.bit_length()
+    per = 1 if b <= 32 else 2  # words per getrandbits(b)
+    ranks = np.empty(0, dtype=np.uint64)
+    while len(ranks) < budget:
+        count = ((budget - len(ranks)) << b) // total * 17 // 16 + 64
+        words = np.frombuffer(rng.getrandbits(32 * per * count).to_bytes(4 * per * count, "little"),
+                              dtype="<u4").astype(np.uint64)
+        draws = words >> (32 - b) if per == 1 else words[::2] | (words[1::2] >> (64 - b)) << 32
+        ranks = np.concatenate([ranks, draws[draws < total]])
+        if distinct:
+            ranks = ranks[np.sort(np.unique(ranks, return_index=True)[1])]
+    return ranks[:budget].tolist()
 
 
 def replay_witness(a: BinarySequence, result: CorrelationResult) -> int:

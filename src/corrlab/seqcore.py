@@ -3,8 +3,10 @@
 A sequence (a_1, ..., a_n) over {-1, +1} is stored as a Python integer whose
 bit j encodes a_{j+1} = (-1)^bit. Symbol products are then XOR and window sums
 popcounts (the bit path of `product_sequence`, `correlation_sum` and
-`replay_witness`); the kernels of `measures` pack the int8 `to_array` view
-into 16-bit words, except the column scan of tall matrices.
+`replay_witness`). The kernels of `measures` take ±1 int8 matrices and pack
+each row's -1 bits into 16-bit words themselves (the column scan of tall
+matrices reads the int8 entries). Random rows come from one packed sampler,
+`_random_bits`, which reproduces numpy's seeded Philox draws bit for bit.
 """
 
 from __future__ import annotations
@@ -123,16 +125,98 @@ class SeedSpec:
         return random.Random(seed)
 
 
-def _random_bits(n: int, seed: SeedSpec) -> np.ndarray:
-    """The n uniform 0/1 draws behind random_sequence (1 encodes the symbol -1)."""
-    return seed.generator().integers(0, 2, size=n, dtype=np.uint8)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy: hashmix
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_RAW_BLOCK_BYTES = 1 << 21  # Philox output buffered per row block before packing
+
+
+def _hasher(const: int, mult: int):
+    """numpy's SeedSequence word hash over an int or a uint32 array: each call
+    XORs in the running constant, advances it by `mult` and multiplies by it."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    x = (_MIX_L * x - _MIX_R * y) & _M32
+    return x ^ x >> 16
+
+
+def _philox_keys(master_seed: int, streams: range) -> np.ndarray:
+    """Row i is SeedSequence(master_seed, spawn_key=(streams[i],)).generate_state(2, np.uint64),
+    the Philox key numpy derives from SeedSpec(master_seed, streams[i]), as (len(streams), 2) uint64.
+
+    numpy's entropy is the master's 32-bit words padded to the pool of four, then the
+    stream's words. The pool mixing of the master words runs once on ints; each
+    stream word is hashed into every pool word (the constant advances four times
+    per word) as uint32 arrays over all streams, and rows whose index has no word
+    at that place keep their pool. Follows `mix_entropy` and `generate_state` of
+    numpy/random/bit_generator.pyx."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in (master_seed & _M32, master_seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    top = streams[-1] if streams else 0
+    index = np.arange(streams.start, streams.stop, dtype=np.uint64 if top >> 64 == 0 else object)
+    pool = [np.full(len(index), word, dtype=np.uint32) for word in pool]
+    for p in range(max(1, -(-top.bit_length() // 32))):
+        word = (index >> 32 * p & _M32).astype(np.uint32)
+        mixed = [_mix(pool[dst], hashmix(word)) for dst in range(4)]
+        present = (index >> 32 * p > 0).astype(bool) if p else True
+        pool = [np.where(present, new, old) for new, old in zip(mixed, pool)]
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    lo0, hi0, lo1, hi1 = (hashmix(word).astype(np.uint64) for word in pool)
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
+
+
+def _random_bits(n: int, master_seed: int, streams: range) -> np.ndarray:
+    """The -1 bits of random_sequence(n, SeedSpec(master_seed, s)) for each s in
+    `streams`, one row each, packed little-endian: (len(streams), ceil(n/8)) uint8,
+    zero past bit n.
+
+    This is numpy's `Generator(Philox(seed_seq)).integers(0, 2, size=n, dtype=np.uint8)`
+    without a Generator per row. Philox is counter-based, so one bit generator
+    serves every row: its state is reset to the row's key (`_philox_keys`), a zero
+    counter and an empty buffer, and `random_raw` gives the row's ceil(n/8) words.
+    The bounded uint8 draw with range 2 reads those words as little-endian bytes
+    and takes the top bit of byte i as draw i (Lemire's multiply, byte * 2 >> 8,
+    never rejects). Output is buffered in row blocks of about 2 MB."""
+    nbytes = -(-n // 8)
+    out = np.empty((len(streams), nbytes), dtype=np.uint8)
+    keys = _philox_keys(master_seed, streams).tolist()
+    philox = np.random.Philox()
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    step = max(1, _RAW_BLOCK_BYTES // (8 * nbytes))
+    raw = np.empty((min(step, len(streams)), nbytes), dtype="<u8")
+    for b0 in range(0, len(streams), step):
+        block = raw[:len(streams) - b0]
+        for row, key in zip(block, keys[b0:b0 + step]):
+            state["state"]["key"] = key
+            philox.state = state
+            row[:] = philox.random_raw(nbytes)
+        out[b0:b0 + len(block)] = np.packbits(block.view(np.uint8) >> 7, axis=1,
+                                              bitorder="little")
+    if n % 8:
+        out[:, -1] &= (1 << n % 8) - 1
+    return out
 
 
 def random_sequence(n: int, seed: SeedSpec) -> BinarySequence:
     """Uniform random sequence: each symbol independent ±1 with probability 1/2."""
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
-    packed = np.packbits(_random_bits(n, seed), bitorder="little")
+    packed = _random_bits(n, seed.master_seed, range(seed.stream_index, seed.stream_index + 1))
     return BinarySequence(n, int.from_bytes(packed.tobytes(), "little"))
 
 

@@ -324,6 +324,44 @@ class TestCorrelationMeasureSampled:
         assert res.value == 6
 
 
+def randrange_ranks(rng, total, budget, distinct):
+    """The reference draw loop: one randrange per rank, first occurrences when distinct."""
+    if distinct:
+        seen = {}
+        while len(seen) < budget:
+            seen.setdefault(rng.randrange(total))
+        return list(seen)
+    return [rng.randrange(total) for _ in range(budget)]
+
+
+class TestRankDraws:
+    # bit lengths 3, 20, 32, 33 (2^32 itself), 34 (n = 256, r = 6) and 64
+    @pytest.mark.parametrize("total", [5, 2 ** 20 - 1, 2 ** 32 - 1, 2 ** 32, math.comb(255, 5),
+                                       2 ** 64 - 1])
+    def test_bulk_draw_equals_randrange_loop(self, total):
+        for seed in range(4):
+            for budget in (1, 2, 3, 1000):
+                for distinct in (True, False):
+                    if distinct and budget > total // 2:
+                        continue
+                    want = randrange_ranks(random.Random(seed), total, budget, distinct)
+                    assert ms._draw_ranks(random.Random(seed), total, budget, distinct) == want
+
+    def test_many_repeats_draw_more(self):
+        # half the space without replacement: most first rounds come up short
+        want = randrange_ranks(random.Random(3), 4000, 2000, True)
+        assert ms._draw_ranks(random.Random(3), 4000, 2000, True) == want
+
+    @pytest.mark.parametrize("n, r, budget", [(24, 4, 700), (24, 4, 1000), (256, 6, 3000),
+                                              (71, 36, 5)])  # the last space is past 2^64
+    def test_sampled_measure_uses_the_loop_ranks(self, n, r, budget):
+        seq = sc.random_sequence(n, sc.SeedSpec(5, 0))
+        total = math.comb(n - 1, r - 1)
+        ranks = randrange_ranks(sc.SeedSpec(1, 0).py_random(), total, budget, budget <= total // 2)
+        assert ms.correlation_measure_sampled(seq, r, budget, sc.SeedSpec(1, 0)) == \
+            ms._result(seq, ranks, r - 1, exact=False)
+
+
 class TestNormalization:
     def test_values(self):
         assert ms.normalization(16, 2).value == pytest.approx(math.sqrt(32 * math.log(16)), rel=1e-12)

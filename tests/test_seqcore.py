@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corrlab import ParseError, ResourceLimitError
 from corrlab import seqcore as sc
@@ -81,6 +83,51 @@ class TestRandomSequence:
             sc.SeedSpec(0, -1)
         with pytest.raises(ValueError):
             sc.SeedSpec(1 << 64, 0)
+
+
+def numpy_draws(n, master, stream):
+    """The reference: numpy's own bounded uint8 draws from the SeedSpec generator."""
+    return sc.SeedSpec(master, stream).generator().integers(0, 2, size=n, dtype=np.uint8)
+
+
+def unpacked(row, n):
+    bits = np.unpackbits(row, bitorder="little")
+    assert not bits[n:].any()  # zero past bit n
+    return bits[:n]
+
+
+class TestPackedSampler:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 70), st.integers(1, 300),
+           st.integers(1, 3))
+    @example(0, 0, 1, 1)
+    @example(2 ** 64 - 1, 2 ** 32, 7, 2)
+    @example(0, 2 ** 64 + 5, 13, 1)
+    @example(2 ** 64 - 1, 2 ** 64 - 2, 9, 3)  # one row below 2^64, two at and past it
+    @example(7, 2 ** 32 - 1, 100, 3)
+    def test_rows_are_numpy_generator_draws(self, master, stream, n, count):
+        packed = sc._random_bits(n, master, range(stream, stream + count))
+        assert packed.shape == (count, (n + 7) // 8) and packed.dtype == np.uint8
+        for i, row in enumerate(packed):
+            assert np.array_equal(unpacked(row, n), numpy_draws(n, master, stream + i))
+        seq = sc.random_sequence(n, sc.SeedSpec(master, stream))
+        assert np.array_equal(seq.to_array(), 1 - 2 * numpy_draws(n, master, stream).astype(int))
+
+    def test_rows_across_row_blocks(self):
+        n, count = 4097, 1100  # not a multiple of the rows one raw block holds
+        assert count % (sc._RAW_BLOCK_BYTES // (8 * 513)) != 0
+        packed = sc._random_bits(n, 2024, range(5, 5 + count))
+        for i, row in enumerate(packed):
+            assert np.array_equal(unpacked(row, n), numpy_draws(n, 2024, 5 + i))
+
+    @pytest.mark.parametrize("master", [0, 7, 2 ** 64 - 1])
+    def test_keys_are_seed_sequence_states(self, master):
+        streams = [range(6000), range(2 ** 32 - 3, 2 ** 32 + 3), range(2 ** 64 - 3, 2 ** 64 + 3)]
+        for rng in streams:
+            keys = sc._philox_keys(master, rng)
+            want = [np.random.SeedSequence(master, spawn_key=(s,)).generate_state(2, np.uint64)
+                    for s in rng]
+            assert keys.dtype == np.uint64 and np.array_equal(keys, np.array(want))
 
 
 class TestEnumeration:
