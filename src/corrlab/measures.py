@@ -300,6 +300,7 @@ def _draw_ranks(rng: random.Random, total: int, budget: int, distinct: bool) -> 
     per = 1 if b <= 32 else 2  # words per getrandbits(b)
     ranks = np.empty(0, dtype=np.uint64)
     while len(ranks) < budget:
+        # draws expected for the ranks still missing (each is kept w.p. total / 2^b), plus a margin
         count = ((budget - len(ranks)) << b) // total * 17 // 16 + 64
         words = np.frombuffer(rng.getrandbits(32 * per * count).to_bytes(4 * per * count, "little"),
                               dtype="<u4").astype(np.uint64)

@@ -167,7 +167,8 @@ def _philox_keys(master_seed: int, streams: range) -> np.ndarray:
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     top = streams[-1] if streams else 0
-    index = np.arange(streams.start, streams.stop, dtype=np.uint64 if top >> 64 == 0 else object)
+    index = np.arange(streams.start, streams.stop, streams.step,
+                      dtype=np.uint64 if top >> 64 == 0 else object)
     pool = [np.full(len(index), word, dtype=np.uint32) for word in pool]
     for p in range(max(1, -(-top.bit_length() // 32))):
         word = (index >> 32 * p & _M32).astype(np.uint32)
