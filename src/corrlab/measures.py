@@ -490,7 +490,11 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
 
 def range_values_batch(mat: np.ndarray) -> np.ndarray:
     """Walk range for every row of a ±1 step matrix, as int32, on packed 16-bit words:
-    phase 0 of `_pack_phases`, read by `_word_ranges` as every product of `_scan_words`."""
+    phase 0 of `_pack_phases`, read by `_word_ranges` as every product of `_scan_words`.
+
+    The Monte Carlo tail (`experiments.check_range_tail`) skips the matrix and
+    calls `_word_ranges` on the sampler's packed words; this is the entry point
+    for ±1 rows from elsewhere, and `range_of_walk` is its one-row call."""
     mat = _as_matrix(mat)
     n = mat.shape[1]
     return _word_ranges(_pack_phases(mat, -(-n // 16), 1)[0], n)

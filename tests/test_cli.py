@@ -255,7 +255,7 @@ class TestCliContract:
         if "10000000" in argv:  # stands in for a request too large to allocate
             def refuse(*_):
                 raise MemoryError("Unable to allocate 9.09 TiB for an array")
-            monkeypatch.setattr(experiments, "_sample_matrix", refuse)
+            monkeypatch.setattr(experiments, "_sample_words", refuse)
         if argv[1] in ("--input", "--file"):  # the text after the first flag goes to a file
             path = tmp_path / "input.txt"
             path.write_text(argv[2])
@@ -313,6 +313,10 @@ PINNED_FILE = "+-++-+---++-+-+++--+\n++--+-+-+++---+-\n"
                   "--dyadic-p", "3", "--seed", "2"],
                  0, "473d03beef76a86cb42d9b39816a8fcaee580fbbf7bff176055a71413d774db4",
                  id="tail-dyadic"),
+    pytest.param(["tail", "--n", "1000", "--samples", "2000", "--delta", "0", "--lambda-mults",
+                  "2.05,2.2,2.5", "--seed", "3"],  # ceil(n/8) odd: padded words; tails nonzero
+                 0, "4a597f1615175b5b4ad1d23db2b2ed42e032fa85bead7e109579abc8b519280c",
+                 id="tail-odd-byte-width"),
     pytest.param(["oracle", "--check", "naive", "--file", "SEQS", "--order", "3"],
                  0, "71ea04f0900ad8c09d2f8a7855b7bb917d1c836a7ba83503f92f0b529c2aff8f",
                  id="oracle-naive"),
