@@ -122,34 +122,15 @@ class ExperimentReport:
 # sampling, cells and rows
 
 
-def _sample_words(n: int, samples: int, master_seed: int, base_stream: int) -> np.ndarray:
-    """Row i holds the -1 bits of random_sequence(n, SeedSpec(master_seed, base_stream + i))
-    as (samples, ceil(n/16)) little-endian uint16 words, zero past bit n.
-
-    The rows are `seqcore._random_bits` (numpy's seeded Philox draws: bit j is the
-    top bit of output byte j under the key SeedSequence gives the stream, as in
-    numpy/random/bit_generator.pyx), written in place; one zero byte pads each row
-    when ceil(n/8) is odd. They are phase 0 of `measures._pack_phases`, so
-    `measures._word_ranges` reads their walk ranges as they are. The output is
-    allocated first, so a sample count too large to hold fails before any key is
-    hashed. Every experiment draws its samples here."""
-    words = np.empty((samples, -(-n // 16)), dtype="<u2")
-    row_bytes = words.view(np.uint8)
-    nbytes = -(-n // 8)
-    row_bytes[:, nbytes:] = 0
-    _random_bits(n, master_seed, range(base_stream, base_stream + samples),
-                 out=row_bytes[:, :nbytes])
-    return words
-
-
 def _sample_matrix(n: int, samples: int, master_seed: int, base_stream: int) -> np.ndarray:
     """Row i is random_sequence(n, SeedSpec(master_seed, base_stream + i)) as ±1 symbols:
-    the rows of `_sample_words`, unpacked, for the cells that take a ±1 matrix
-    (`measures.exact_values_batch` and the prefixes of `check_extension_difference`).
-    The output is allocated first, as in `_sample_words`."""
+    the packed `seqcore._random_bits` rows, unpacked, for the cells that take a ±1
+    matrix (`measures.exact_values_batch` and the prefixes of
+    `check_extension_difference`). The output is allocated first, so a sample count
+    too large to hold fails before any key is hashed."""
     mat = np.empty((samples, n), dtype=np.int8)
-    words = _sample_words(n, samples, master_seed, base_stream)
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    rows = _random_bits(n, master_seed, range(base_stream, base_stream + samples))
+    bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
     np.multiply(bits.view(np.int8), -2, out=mat)
     mat += 1
     return mat
@@ -312,8 +293,8 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     """Walk-range tails against (log n) exp(-lambda^2/(2n)) at threshold
     lambda (1+delta), and against the dyadic-form bound when configured.
 
-    The ranges are read from the sampler's packed words (`_sample_words`, then
-    `measures._word_ranges`); no ±1 matrix is built."""
+    The ranges are read from the sampler's packed rows (`_random_bits`, then
+    `measures._packed_ranges`); no ±1 matrix is built."""
     t0 = time.perf_counter()
     if not cfg.lambda_grid:
         raise ValueError("range-tail check needs a nonempty lambda_grid")
@@ -325,8 +306,8 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     notes: list[str] = []
     p = cfg.dyadic_p
     for ci, n in enumerate(cfg.n_grid):
-        words = _sample_words(n, cfg.samples, cfg.master_seed, ci * cfg.samples)
-        ranges = measures._word_ranges(words, n)
+        bits = _random_bits(n, cfg.master_seed, range(ci * cfg.samples, (ci + 1) * cfg.samples))
+        ranges = measures._packed_ranges(bits, n)
         # (statistic, threshold factor on lambda, coefficient of exp(-lambda^2/(2n)))
         tails = [("tail_freq", 1.0 + cfg.delta, math.log(n))]
         if p is not None and _dyadic_form_ok(n, p):

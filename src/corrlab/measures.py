@@ -199,7 +199,7 @@ def _best_tuple(arr: np.ndarray, ranks: Sequence[int], k: int) -> tuple[int, tup
     wins: argmax inside a block, strict > across blocks."""
     n = arr.shape[0]
     width = -(-n // 16)
-    flat = _pack_phases(arr[None, :], 2 * width, 16).ravel()  # fits a shift plus `width` words
+    flat = _pack_phases(arr[None, :], 2 * width).ravel()  # fits a shift plus `width` words
     step_sum, _, _, top_less_sum, bottom_less_sum = _word_tables()
     block = max(1, _BLOCK_WORDS // width)
     best, best_offsets = -1, None
@@ -273,38 +273,32 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int, se
                                  f"{work_budget:,}); lower the tuple budget")
     ranks: Sequence[int] = range(total)
     if tuple_budget < total:
-        rng = seed.py_random()
-        distinct = tuple_budget <= total // 2
-        if total < 1 << 64:
-            ranks = _draw_ranks(rng, total, tuple_budget, distinct)
-        elif distinct:
-            seen: dict[int, None] = {}  # insertion-ordered distinct ranks
-            while len(seen) < tuple_budget:
-                seen.setdefault(rng.randrange(total))
-            ranks = list(seen)
-        else:
-            ranks = [rng.randrange(total) for _ in range(tuple_budget)]
+        ranks = _draw_ranks(seed.py_random(), total, tuple_budget, tuple_budget <= total // 2)
     return _result(a, ranks, k, exact=False)
 
 
 def _draw_ranks(rng: random.Random, total: int, budget: int, distinct: bool) -> list[int]:
     """The first `budget` values (the first `budget` distinct ones if `distinct`) of
-    repeated rng.randrange(total), for 2 <= total < 2^64, from bulk getrandbits calls.
+    repeated rng.randrange(total), for total >= 2, from bulk getrandbits calls.
 
     randrange draws getrandbits(b), b = total.bit_length(), until the value is below
-    total. getrandbits(b) takes one 32-bit Mersenne Twister word w when b <= 32
-    (w >> (32 - b)), and two words w0, w1 otherwise (w0 | (w1 >> (64 - b)) << 32);
-    getrandbits(32 m) returns m words, the first in the low bits. Extra words are
-    drawn when short; the generator is not used again, so the surplus is harmless."""
+    total. getrandbits(b) takes m = ceil(b/32) 32-bit Mersenne Twister words, the
+    first in the low bits, and shifts the last one right by 32 m - b;
+    getrandbits(32 m) returns the same m words unshifted. The words are uint64 while
+    b <= 64 and Python ints in object arrays beyond. Extra words are drawn when
+    short; the generator is not used again, so the surplus is harmless."""
     b = total.bit_length()
-    per = 1 if b <= 32 else 2  # words per getrandbits(b)
-    ranks = np.empty(0, dtype=np.uint64)
+    per = -(-b // 32)  # words per getrandbits(b)
+    dtype = np.uint64 if b <= 64 else object
+    shifts = np.array([32 * i for i in range(per)], dtype=dtype)
+    ranks = np.empty(0, dtype=dtype)
     while len(ranks) < budget:
         # draws expected for the ranks still missing (each is kept w.p. total / 2^b), plus a margin
         count = ((budget - len(ranks)) << b) // total * 17 // 16 + 64
         words = np.frombuffer(rng.getrandbits(32 * per * count).to_bytes(4 * per * count, "little"),
-                              dtype="<u4").astype(np.uint64)
-        draws = words >> (32 - b) if per == 1 else words[::2] | (words[1::2] >> (64 - b)) << 32
+                              dtype="<u4").astype(dtype).reshape(count, per)
+        words[:, -1] >>= 32 * per - b
+        draws = (words << shifts).sum(axis=1)
         ranks = np.concatenate([ranks, draws[draws < total]])
         if distinct:
             ranks = ranks[np.sort(np.unique(ranks, return_index=True)[1])]
@@ -376,11 +370,11 @@ def _word_tables() -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _pack_phases(mat: np.ndarray, words: int, phases: int) -> np.ndarray:
+def _pack_phases(mat: np.ndarray, words: int) -> np.ndarray:
     """The -1 bits of each row, packed little-endian into `words` 16-bit words once per phase
-    p < `phases` (`packed[p]` starts at bit p), zero past the row: (phases, rows, words)."""
-    packed = np.zeros((phases, mat.shape[0], 2 * words), dtype=np.uint8)
-    for p in range(phases):
+    p < 16 (`packed[p]` starts at bit p), zero past the row: (16, rows, words)."""
+    packed = np.zeros((16, mat.shape[0], 2 * words), dtype=np.uint8)
+    for p in range(16):
         row_bytes = np.packbits(mat[:, p:] < 0, axis=1, bitorder="little")
         packed[p, :, :row_bytes.shape[1]] = row_bytes
     return packed.view("<u2")
@@ -411,6 +405,17 @@ def _word_ranges(prod: np.ndarray, length: int) -> np.ndarray:
     return hi
 
 
+def _packed_ranges(rows: np.ndarray, length: int) -> np.ndarray:
+    """Walk range of each row of -1 bits packed little-endian into bytes, as int32.
+
+    Read as 16-bit words, the rows are phase 0 of `_pack_phases`, so `_word_ranges`
+    takes them as they are: a view when the byte width is even, and a copy with
+    one zero byte appended when it is odd."""
+    if rows.shape[1] % 2:
+        rows = np.pad(rows, ((0, 0), (0, 1)))
+    return _word_ranges(rows.view("<u2"), length)
+
+
 def _scan_words(mat: np.ndarray, r: int) -> np.ndarray:
     """C_r of every row of a (rows, n) matrix, as int32, on packed 16-bit words.
 
@@ -418,7 +423,7 @@ def _scan_words(mat: np.ndarray, r: int) -> np.ndarray:
     phases of `_pack_phases` the shift by u is the word-aligned slice
     `phases[u & 15][:, u >> 4:]`; `_word_ranges` reads its walk range."""
     rows, n = mat.shape
-    phases = _pack_phases(mat, -(-n // 16), 16)
+    phases = _pack_phases(mat, -(-n // 16))
     best = np.zeros(rows, dtype=np.int32)
     for offsets in colex_offsets(n, r - 1):
         length = n - offsets[-1]
@@ -489,12 +494,9 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
 
 
 def range_values_batch(mat: np.ndarray) -> np.ndarray:
-    """Walk range for every row of a ±1 step matrix, as int32, on packed 16-bit words:
-    phase 0 of `_pack_phases`, read by `_word_ranges` as every product of `_scan_words`.
-
-    The Monte Carlo tail (`experiments.check_range_tail`) skips the matrix and
-    calls `_word_ranges` on the sampler's packed words; this is the entry point
-    for ±1 rows from elsewhere, and `range_of_walk` is its one-row call."""
+    """Walk range for every row of a ±1 step matrix, as int32: its -1 bits packed into
+    bytes and read by `_packed_ranges`, which also reads the Monte Carlo tail's
+    sampled rows (`experiments.check_range_tail`) without any ±1 matrix.
+    `range_of_walk` is its one-row call."""
     mat = _as_matrix(mat)
-    n = mat.shape[1]
-    return _word_ranges(_pack_phases(mat, -(-n // 16), 1)[0], n)
+    return _packed_ranges(np.packbits(mat < 0, axis=1, bitorder="little"), mat.shape[1])

@@ -144,17 +144,16 @@ def _is_even_tuple(entries) -> bool:
     return all(c % 2 == 0 for c in Counter(entries).values())
 
 
-def count_even_tuples(m: int, q: int, budget: int = ENUM_BUDGET) -> int:
+def count_even_tuples(m: int, q: int) -> int:
     """Number of even tuples in {1,...,m}^{2q}, by full enumeration."""
     if m < 1 or q < 1:
         raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
-    if m ** (2 * q) > budget:
-        raise ResourceLimitError(f"enumerating {m}^{2 * q} tuples exceeds budget {budget}")
+    if m ** (2 * q) > ENUM_BUDGET:
+        raise ResourceLimitError(f"enumerating {m}^{2 * q} tuples exceeds budget {ENUM_BUDGET}")
     return sum(1 for t in product(range(1, m + 1), repeat=2 * q) if _is_even_tuple(t))
 
 
-def count_constrained_even(n: int, q: int, t: int, u: ShiftTuple, v: ShiftTuple,
-                           budget: int = ENUM_BUDGET) -> int:
+def count_constrained_even(n: int, q: int, t: int, u: ShiftTuple, v: ShiftTuple) -> int:
     """Count even tuples (x_i, x_i+u2, y_i, y_i+v2)_{i=1..2q} in {1,...,n}^{8q}
     whose (x_i) part has evenness degree < q - t. Restricted to order 2 tuples.
     """
@@ -167,8 +166,9 @@ def count_constrained_even(n: int, q: int, t: int, u: ShiftTuple, v: ShiftTuple,
     u2, v2 = u.offsets[0], v.offsets[0]
     if u2 >= n or v2 >= n:
         raise ValueError(f"offsets must be < n={n}, got u={u2}, v={v2}")
-    if n ** (4 * q) > budget:
-        raise ResourceLimitError(f"enumerating {n}^{4 * q} assignments exceeds budget {budget}")
+    if n ** (4 * q) > ENUM_BUDGET:
+        raise ResourceLimitError(
+            f"enumerating {n}^{4 * q} assignments exceeds budget {ENUM_BUDGET}")
 
     # entries x_i + u2 and y_i + v2 must stay inside {1, ..., n}
     x_choices = []
@@ -185,9 +185,10 @@ def count_constrained_even(n: int, q: int, t: int, u: ShiftTuple, v: ShiftTuple,
     return count
 
 
-def constrained_even_bound(n: int, q: int, t: int, r: int = 2) -> float:
-    """(4rq-1)!! * n^{2q-(t+1)/3}, the ceiling the constrained count must respect."""
-    return double_factorial_odd(2 * r * q) * n ** (2 * q - (t + 1) / 3)
+def constrained_even_bound(n: int, q: int, t: int) -> float:
+    """(8q-1)!! * n^{2q-(t+1)/3}, the ceiling the order-2 constrained count must respect:
+    (4rq-1)!! at r = 2, the only order `count_constrained_even` handles."""
+    return double_factorial_odd(4 * q) * n ** (2 * q - (t + 1) / 3)
 
 
 # ---------------------------------------------------------------------------

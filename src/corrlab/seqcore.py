@@ -7,8 +7,8 @@ popcounts (the bit path of `product_sequence`, `correlation_sum` and
 each row's -1 bits into 16-bit words themselves (the column scan of tall
 matrices reads the int8 entries). Random rows come from one packed sampler,
 `_random_bits`, which reproduces numpy's seeded Philox draws bit for bit; its
-rows are those same little-endian words once padded to an even byte count,
-which is how the walk-range tail of `experiments` reads them.
+rows are little-endian bytes of -1 bits, which `measures._packed_ranges` reads
+as they are for the walk-range tail of `experiments`.
 """
 
 from __future__ import annotations
@@ -182,11 +182,11 @@ def _philox_keys(master_seed: int, streams: range) -> np.ndarray:
     return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
 
 
-def _random_bits(n: int, master_seed: int, streams: range,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _random_bits(n: int, master_seed: int, streams: range) -> np.ndarray:
     """The -1 bits of random_sequence(n, SeedSpec(master_seed, s)) for each s in
     `streams`, one row each, packed little-endian: (len(streams), ceil(n/8)) uint8,
-    zero past bit n, written to `out` when given (its rows may be strided).
+    zero past bit n. The output is allocated first, so a row count too large to
+    hold fails before any key is hashed.
 
     This is numpy's `Generator(Philox(seed_seq)).integers(0, 2, size=n, dtype=np.uint8)`
     without a Generator per row. Philox is counter-based, so one bit generator
@@ -196,8 +196,7 @@ def _random_bits(n: int, master_seed: int, streams: range,
     and takes the top bit of byte i as draw i (Lemire's multiply, byte * 2 >> 8,
     never rejects). Output is buffered in row blocks of about 2 MB."""
     nbytes = -(-n // 8)
-    if out is None:
-        out = np.empty((len(streams), nbytes), dtype=np.uint8)
+    out = np.empty((len(streams), nbytes), dtype=np.uint8)
     keys = _philox_keys(master_seed, streams).tolist()
     philox = np.random.Philox()
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},

@@ -255,7 +255,7 @@ class TestCliContract:
         if "10000000" in argv:  # stands in for a request too large to allocate
             def refuse(*_):
                 raise MemoryError("Unable to allocate 9.09 TiB for an array")
-            monkeypatch.setattr(experiments, "_sample_words", refuse)
+            monkeypatch.setattr(experiments, "_random_bits", refuse)
         if argv[1] in ("--input", "--file"):  # the text after the first flag goes to a file
             path = tmp_path / "input.txt"
             path.write_text(argv[2])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from corrlab import experiments as xp
@@ -17,18 +18,21 @@ def test_sample_rows_are_random_sequence_draws():
 
 @pytest.mark.parametrize("base_stream", [0, 9, 2 ** 33])
 def test_sample_words_are_phase_zero_of_the_sample_rows(base_stream):
+    """The sampler's byte rows, read as 16-bit words, are phase 0 of the sample rows."""
     for n in [*range(1, 49), 1000, 4097]:  # 1000 and 4097 have an odd byte count
-        words = xp._sample_words(n, 5, 7, base_stream)
+        rows = xp._random_bits(n, 7, range(base_stream, base_stream + 5))
         mat = xp._sample_matrix(n, 5, 7, base_stream)
-        expect = ms._pack_phases(mat, -(-n // 16), 1)[0]
-        assert words.dtype == expect.dtype and words.shape == expect.shape, n
-        assert (words == expect).all(), n
+        expect = ms._pack_phases(mat, -(-n // 16))[0].view(np.uint8)
+        assert rows.dtype == expect.dtype and rows.shape == (5, -(-n // 8)), n
+        assert (rows == expect[:, :rows.shape[1]]).all(), n
+        assert not expect[:, rows.shape[1]:].any(), n  # the pad byte of an odd width
+        assert (ms._packed_ranges(rows, n) == ms.range_values_batch(mat)).all(), n
 
 
 @pytest.mark.parametrize("base_stream", [0, 9])
 def test_word_ranges_of_sample_words_are_naive_ranges(base_stream):
     for n in range(1, 49):
-        got = ms._word_ranges(xp._sample_words(n, 5, 3, base_stream), n)
+        got = ms._packed_ranges(xp._random_bits(n, 3, range(base_stream, base_stream + 5)), n)
         want = [orc.naive_range(sc.random_sequence(n, sc.SeedSpec(3, base_stream + i)))
                 for i in range(5)]
         assert got.tolist() == want, n
@@ -176,8 +180,8 @@ class TestRangeTail:
 
     def test_every_lambda_checked_before_sampling(self, monkeypatch):
         calls = []
-        real = xp._sample_words
-        monkeypatch.setattr(xp, "_sample_words", lambda *a: calls.append(a) or real(*a))
+        real = xp._random_bits
+        monkeypatch.setattr(xp, "_random_bits", lambda *a: calls.append(a) or real(*a))
         cfg = xp.ExperimentConfig(n_grid=(1024, 4096), samples=10, lambda_grid=(70.0,))
         with pytest.raises(ValueError, match=r"lambda=70 rejected: .* = 128$"):
             xp.check_range_tail(cfg)  # 70 > 2 sqrt(1024) but not 2 sqrt(4096)
@@ -185,15 +189,15 @@ class TestRangeTail:
 
     def test_one_sample_draw_per_grid_point(self, monkeypatch):
         calls = []
-        real = xp._sample_words
-        monkeypatch.setattr(xp, "_sample_words", lambda *a: calls.append(a) or real(*a))
+        real = xp._random_bits
+        monkeypatch.setattr(xp, "_random_bits", lambda *a: calls.append(a) or real(*a))
         for name in ("_pack_phases", "_as_matrix"):  # the tail builds no ±1 matrix
             monkeypatch.setattr(ms, name, None)
         monkeypatch.setattr(xp, "_sample_matrix", None)
         cfg = xp.ExperimentConfig(n_grid=(64, 100, 64), samples=8, master_seed=4,
                                   lambda_grid=(21.0, 30.0), dyadic_p=1)
         xp.check_range_tail(cfg)
-        assert calls == [(64, 8, 4, 0), (100, 8, 4, 8), (64, 8, 4, 16)]
+        assert calls == [(64, 4, range(0, 8)), (100, 4, range(8, 16)), (64, 4, range(16, 24))]
 
     def test_dyadic_recognition(self):
         lams = (3 * math.sqrt(1024),)

@@ -335,9 +335,11 @@ def randrange_ranks(rng, total, budget, distinct):
 
 
 class TestRankDraws:
-    # bit lengths 3, 20, 32, 33 (2^32 itself), 34 (n = 256, r = 6) and 64
+    # bit lengths 3, 20, 32, 33 (2^32 itself), 34 (n = 256, r = 6), 64, then past 2^64:
+    # 65 (2^64 itself and one more), 96, 97 and 133 (10^40)
     @pytest.mark.parametrize("total", [5, 2 ** 20 - 1, 2 ** 32 - 1, 2 ** 32, math.comb(255, 5),
-                                       2 ** 64 - 1])
+                                       2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 96 - 1,
+                                       2 ** 96 + 1, 10 ** 40])
     def test_bulk_draw_equals_randrange_loop(self, total):
         for seed in range(4):
             for budget in (1, 2, 3, 1000):
