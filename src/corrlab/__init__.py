@@ -19,10 +19,12 @@ from .measures import (
     CorrelationResult,
     Normalization,
     ShiftTuple,
+    binomial,
     correlation_measure_exact,
     correlation_measure_sampled,
     correlation_sum,
     exact_values_batch,
+    log_binomial,
     normalization,
     normalized_ratio,
     product_sequence,
@@ -34,14 +36,12 @@ from .bounds import (
     BoundReport,
     VectorFamily,
     WelchBound,
-    binomial,
     certify_theoremC,
     certify_theoremC_all,
     certify_theorem_max,
     certify_theorem_max_all,
     double_factorial_odd,
     f_ratio,
-    log_binomial,
     max_offdiag_scalar,
     theoremC_construction,
     welch_bound,

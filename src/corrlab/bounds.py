@@ -17,40 +17,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .seqcore import BinarySequence, SeedSpec, _check_exhaustive
+from .seqcore import BinarySequence, SeedSpec, _orbit_representatives, _pm1
 from . import measures
+from .measures import EXACT_LOG_DIGIT_CAP, log_binomial
+from .measures import binomial  # noqa: F401  (it stays a bounds name)
 
 # Explicit floor used by the max-of-even-orders certificate; the per-order
 # constants tend to 1/sqrt(6e) ~ 0.2476, exposed for reporting only.
 MAX_THEOREM_FLOOR = 1.0 / 9.0
 MAX_THEOREM_LIMIT_CONSTANT = 1.0 / math.sqrt(6.0 * math.e)
-
-# Above this many decimal digits, binomial logs switch from exact big-int
-# evaluation to log-gamma.
-EXACT_LOG_DIGIT_CAP = 5000
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); rejects negatives and k > n instead of returning 0."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial needs 0 <= k <= n, got n={n}, k={k}")
-    return math.comb(n, k)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """Natural log of C(n, k), relative error <= 1e-12.
-
-    Exact big-int binomials are used while the value stays under the digit
-    cap; beyond that the log-gamma form takes over.
-    """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial needs 0 <= k <= n, got n={n}, k={k}")
-    if k == 0 or k == n:
-        return 0.0
-    approx = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    if approx <= EXACT_LOG_DIGIT_CAP * math.log(10):
-        return math.log(math.comb(n, k))
-    return approx
 
 
 def double_factorial_odd(k: int) -> int:
@@ -100,9 +75,8 @@ class VectorFamily:
             raise ValueError(f"vectors have length {width}, declared ell={self.ell}")
         if m < 2:
             raise ValueError(f"a vector family needs m >= 2 vectors, got {m}")
-        if not np.all((raw == 1) | (raw == -1)):  # before the cast, which wraps 255 to -1
-            raise ValueError("vector entries must be ±1")
-        self.matrix = raw.astype(np.int8)
+        mat = _pm1(raw)
+        self.matrix = mat.copy() if mat is raw else mat  # a copy of its own, as from a cast
 
     @property
     def m(self) -> int:
@@ -151,20 +125,6 @@ def certify_welch_families(ell: int, m: int, k: int, families: int,
             construction={"kind": "welch_random_family", "ell": ell, "m": m, "k": k,
                           "family_index": i, "vacuous": wb.vacuous}))
     return reports
-
-
-def _orbit_representatives(n: int) -> np.ndarray:
-    """(n, 2^(n-2)) int8 array whose columns are the sequences with a_1 = a_2 = +1,
-    in enumeration order: `all_sequences_matrix(n)[::4].T`, built without it.
-
-    Rows 0 and 1 are +1, and row j + 2 is -1 where bit j of the column index is set.
-    """
-    _check_exhaustive(n)
-    counter = np.arange(1 << (n - 2), dtype=np.uint32)
-    cols = np.ones((n, counter.size), dtype=np.int8)
-    for j in range(n - 2):
-        cols[j + 2] -= 2 * ((counter >> j) & 1).astype(np.int8)
-    return cols
 
 
 def _exhaustive_worst(n: int, orders: Sequence[int], workers: int) -> list[int]:
@@ -221,12 +181,11 @@ def _even_bound(n: int, r: int) -> float:
     return math.sqrt(0.5 * _blocks(n, r)[0])
 
 
-def certify_theoremC(a: BinarySequence, r: int,
-                     work_budget: int = measures.DEFAULT_WORK_BUDGET) -> BoundReport:
+def certify_theoremC(a: BinarySequence, r: int) -> BoundReport:
     """Check C_{2r}(a) > sqrt(floor(n/(2r+1))/2) (strict; must hold for every input)."""
     n = a.length
     _check_even_args(n, r)
-    achieved = measures.correlation_measure_exact(a, 2 * r, work_budget=work_budget).value
+    achieved = measures.correlation_measure_exact(a, 2 * r).value
     ell, m = _blocks(n, r)
     return _report(_even_bound(n, r), achieved, kind="even_order", n=n, r=r, ell=ell,
                    m=m, blocks="consecutive")
@@ -253,14 +212,11 @@ def _check_max_args(n: int, s: int) -> None:
         raise ValueError(f"need n >= 3 and 1 <= s <= n/3, got n={n}, s={s}")
 
 
-def certify_theorem_max(a: BinarySequence, s: int,
-                        work_budget: int = measures.DEFAULT_WORK_BUDGET) -> BoundReport:
+def certify_theorem_max(a: BinarySequence, s: int) -> BoundReport:
     """Check max{C_2(a), C_4(a), ..., C_{2s}(a)} > sqrt(s n)/9."""
     n = a.length
     _check_max_args(n, s)
-    achieved = max(
-        measures.correlation_measure_exact(a, 2 * k, work_budget=work_budget).value
-        for k in range(1, s + 1))
+    achieved = max(measures.correlation_measure_exact(a, 2 * k).value for k in range(1, s + 1))
     return _report(_max_bound(n, s), achieved, kind="max_even_orders", n=n, s=s,
                    orders=[2 * k for k in range(1, s + 1)])
 

@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import log_binomial
 from . import measures
-from .seqcore import _random_bits
+from .measures import log_binomial
+from .seqcore import _RAW_BLOCK_BYTES, _random_bits, _symbols
 from .seqcore import random_sequence  # noqa: F401  (perfbench/tracing.py patches this name)
 
 FORMATS = ("csv", "json")
@@ -125,14 +125,14 @@ class ExperimentReport:
 def _sample_matrix(n: int, samples: int, master_seed: int, base_stream: int) -> np.ndarray:
     """Row i is random_sequence(n, SeedSpec(master_seed, base_stream + i)) as ±1 symbols:
     the packed `seqcore._random_bits` rows, unpacked, for the cells that take a ±1
-    matrix (`measures.exact_values_batch` and the prefixes of
-    `check_extension_difference`). The output is allocated first, so a sample count
-    too large to hold fails before any key is hashed."""
+    matrix (`measures.exact_values_batch` and the prefixes of `check_extension_difference`).
+    The output is allocated first, so a sample count too large to hold fails before any key
+    is hashed, and is filled in row blocks of about 2 MB: no second full-size array lives."""
     mat = np.empty((samples, n), dtype=np.int8)
     rows = _random_bits(n, master_seed, range(base_stream, base_stream + samples))
-    bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
-    np.multiply(bits.view(np.int8), -2, out=mat)
-    mat += 1
+    step = max(1, _RAW_BLOCK_BYTES // n)
+    for b0 in range(0, samples, step):
+        mat[b0:b0 + step] = _symbols(rows[b0:b0 + step], n)
     return mat
 
 

@@ -22,10 +22,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .seqcore import BinarySequence, SeedSpec
+from .seqcore import BinarySequence, SeedSpec, _packed, _pm1, _symbols
 
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
 _BLOCK_WORDS = 1 << 15  # packed words per tuple block of _best_tuple; fastest of 2^13..2^16
+EXACT_LOG_DIGIT_CAP = 5000  # decimal digits above which binomial logs use log-gamma, not big ints
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,27 @@ class Normalization:
 
 
 # ---------------------------------------------------------------------------
-# shift-tuple enumeration (colexicographic) and unranking
+# binomials, shift-tuple enumeration (colexicographic) and unranking
+
+
+def binomial(n: int, k: int) -> int:
+    """Exact C(n, k); rejects negatives and k > n instead of returning 0."""
+    if n < 0 or k < 0 or k > n:
+        raise ValueError(f"binomial needs 0 <= k <= n, got n={n}, k={k}")
+    return math.comb(n, k)
+
+
+def log_binomial(n: int, k: int) -> float:
+    """Natural log of C(n, k), relative error <= 1e-12: from the exact big-int
+    binomial while it stays under the digit cap, from log-gamma beyond."""
+    if n < 0 or k < 0 or k > n:
+        raise ValueError(f"binomial needs 0 <= k <= n, got n={n}, k={k}")
+    if k == 0 or k == n:
+        return 0.0
+    approx = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    if approx <= EXACT_LOG_DIGIT_CAP * math.log(10):
+        return math.log(math.comb(n, k))
+    return approx
 
 
 def colex_offsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -179,7 +200,7 @@ def correlation_sum(a: BinarySequence, t: ShiftTuple) -> int:
 
 def range_of_walk(steps: BinarySequence) -> int:
     """Max over all windows of |window sum| = (max - min) of the prefix-sum path."""
-    return int(range_values_batch(steps.to_array()[None, :])[0])
+    return int(_packed_ranges(steps._bytes()[None, :], steps.length)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +341,12 @@ def normalization(n: int, r: int) -> Normalization:
     """sqrt(2 n log C(n, r-1)), natural log."""
     if r < 2 or n <= r:
         raise ValueError(f"normalization needs n > r >= 2, got n={n}, r={r}")
-    from .bounds import log_binomial
     return Normalization(n, r, math.sqrt(2.0 * n * log_binomial(n, r - 1)))
 
 
-def normalized_ratio(a: BinarySequence, r: int,
-                     work_budget: int = DEFAULT_WORK_BUDGET) -> float:
+def normalized_ratio(a: BinarySequence, r: int) -> float:
     """Exact measure divided by its convergence normalization."""
-    result = correlation_measure_exact(a, r, work_budget=work_budget)
+    result = correlation_measure_exact(a, r)
     return result.value / normalization(a.length, r).value
 
 
@@ -336,13 +355,7 @@ def normalized_ratio(a: BinarySequence, r: int,
 
 
 def _as_matrix(seqs) -> np.ndarray:
-    if isinstance(seqs, np.ndarray):
-        mat = seqs.astype(np.int8, copy=False)
-        # within [-1, 1] before the cast and nonzero after it leaves only ±1
-        if mat.size and not (seqs.min() >= -1 and seqs.max() <= 1 and mat.all()):
-            raise ValueError("matrix entries must be -1 or +1")
-    else:
-        mat = np.stack([s.to_array() for s in seqs])
+    mat = _pm1(seqs) if isinstance(seqs, np.ndarray) else np.stack([s.to_array() for s in seqs])
     if mat.ndim != 2:
         raise ValueError("expected a 2-d matrix of ±1 rows")
     if not mat.shape[1]:
@@ -357,8 +370,7 @@ def _word_tables() -> tuple[np.ndarray, ...]:
     Bit j of a word set means step j is -1, else +1. Tables: the step sum s,
     the highest and lowest prefix sums (the empty prefix included), and those
     two less s. Read-only, built on first use (five int16 tables, 640 KB)."""
-    steps = 1 - 2 * ((np.arange(256, dtype=np.int16)[:, None] >> np.arange(8)) & 1)
-    walk = np.cumsum(steps, axis=1, dtype=np.int16)
+    walk = np.cumsum(_symbols(np.arange(256, dtype=np.uint8)[:, None], 8), axis=1, dtype=np.int16)
     s8, hi8, lo8 = walk[:, -1], np.maximum(walk.max(axis=1), 0), np.minimum(walk.min(axis=1), 0)
     word = np.arange(1 << 16)
     low, high = word & 255, word >> 8
@@ -375,7 +387,7 @@ def _pack_phases(mat: np.ndarray, words: int) -> np.ndarray:
     p < 16 (`packed[p]` starts at bit p), zero past the row: (16, rows, words)."""
     packed = np.zeros((16, mat.shape[0], 2 * words), dtype=np.uint8)
     for p in range(16):
-        row_bytes = np.packbits(mat[:, p:] < 0, axis=1, bitorder="little")
+        row_bytes = _packed(mat[:, p:])
         packed[p, :, :row_bytes.shape[1]] = row_bytes
     return packed.view("<u2")
 
@@ -467,13 +479,10 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
     column by column on its (n, rows) transpose (`_scan_columns`); the
     transpose is free when `seqs` is already the `.T` of a C-contiguous array.
     Anything shorter is scanned on packed 16-bit words (`_scan_words`).
-    Measured at r = 2 unless noted (2-core VM), the word scan took this share
-    of the time of a per-tuple int8 product and walk range: 1.18 at 40 x 128,
-    0.97 at 40 x 256, 0.34 at 40 x 2048, 0.38 at 200 x 512 (r = 3), 0.10 at
-    500 x 4096, 0.09 at 200 x 16384. The column scan took this share of the
-    word time: 0.89 at 64 x 16, 0.84 at 128 x 16, 2.16 at 256 x 64, 1.65 at
-    512 x 64, 1.09 at 1024 x 64, 0.68 at 2048 x 64, 0.81 at 4096 x 256, 0.62
-    at 1024 x 12 (r = 4). The crossover moves with n, from about 4 n rows at
+    Measured at r = 2 unless noted (2-core VM), the column scan took this share
+    of the word scan's time: 0.89 at 64 x 16, 0.84 at 128 x 16, 2.16 at 256 x 64,
+    1.65 at 512 x 64, 1.09 at 1024 x 64, 0.68 at 2048 x 64, 0.81 at 4096 x 256,
+    0.62 at 1024 x 12 (r = 4). The crossover moves with n, from about 4 n rows at
     n = 16 to about 24 n at n = 64, but rows = 8 n still sends the shapes of
     the benchmark and the acceptance runs to their faster layout: exhaustive
     certificates (2^(n-2) x n) to columns, Monte Carlo cells to words.
@@ -496,7 +505,7 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
 def range_values_batch(mat: np.ndarray) -> np.ndarray:
     """Walk range for every row of a ±1 step matrix, as int32: its -1 bits packed into
     bytes and read by `_packed_ranges`, which also reads the Monte Carlo tail's
-    sampled rows (`experiments.check_range_tail`) without any ±1 matrix.
-    `range_of_walk` is its one-row call."""
+    sampled rows (`experiments.check_range_tail`) without any ±1 matrix, and
+    one sequence's own payload bytes (`range_of_walk`)."""
     mat = _as_matrix(mat)
-    return _packed_ranges(np.packbits(mat < 0, axis=1, bitorder="little"), mat.shape[1])
+    return _packed_ranges(_packed(mat), mat.shape[1])

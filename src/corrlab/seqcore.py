@@ -3,12 +3,12 @@
 A sequence (a_1, ..., a_n) over {-1, +1} is stored as a Python integer whose
 bit j encodes a_{j+1} = (-1)^bit. Symbol products are then XOR and window sums
 popcounts (the bit path of `product_sequence`, `correlation_sum` and
-`replay_witness`). The kernels of `measures` take ±1 int8 matrices and pack
-each row's -1 bits into 16-bit words themselves (the column scan of tall
-matrices reads the int8 entries). Random rows come from one packed sampler,
-`_random_bits`, which reproduces numpy's seeded Philox draws bit for bit; its
-rows are little-endian bytes of -1 bits, which `measures._packed_ranges` reads
-as they are for the walk-range tail of `experiments`.
+`replay_witness`). Array rows hold the -1 bits packed little-endian into bytes,
+and three helpers here are the one home of that format: `_pm1` checks entries are
+±1 and gives them as int8, `_packed` packs ±1 rows into bytes, and `_symbols`
+unpacks byte rows into ±1 int8. Random rows come from one packed sampler,
+`_random_bits`, which reproduces numpy's seeded Philox draws bit for bit;
+`measures._packed_ranges` reads its rows as they are for the tail of `experiments`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,30 @@ import numpy as np
 from .errors import ParseError, ResourceLimitError
 
 EXHAUSTIVE_LIMIT = 24  # 2^24 sequences is the largest full enumeration we allow
+
+
+def _pm1(arr) -> np.ndarray:
+    """`arr` as int8 (no copy when it already is), after checking every entry is ±1."""
+    arr = np.asarray(arr)
+    with np.errstate(invalid="ignore"):  # a NaN casts to anything, but fails the range test
+        mat = arr.astype(np.int8, copy=False)
+    # within [-1, 1] before the cast (which wraps 255 to -1) and nonzero after it
+    if mat.size and not (arr.min() >= -1 and arr.max() <= 1 and mat.all()):
+        raise ValueError("entries must be ±1, each -1 or +1")
+    return mat
+
+
+def _packed(mat: np.ndarray) -> np.ndarray:
+    """The -1 bits of each ±1 row, packed little-endian into bytes, zero past the row."""
+    return np.packbits(mat < 0, axis=-1, bitorder="little")
+
+
+def _symbols(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each byte row as ±1 int8 (a set bit is -1): `_packed` inverted."""
+    out = np.unpackbits(packed, axis=-1, count=n, bitorder="little").view(np.int8)
+    out *= -2
+    out += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,21 +79,18 @@ class BinarySequence:
         arr = np.asarray(arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("expected a nonempty 1-d array of ±1 symbols")
-        neg = arr == -1
-        if not np.all(neg | (arr == 1)):
-            raise ValueError("array entries must be -1 or +1")
-        packed = np.packbits(neg.astype(np.uint8), bitorder="little")
-        return cls(int(arr.size), int.from_bytes(packed.tobytes(), "little"))
+        return cls(arr.size, int.from_bytes(_packed(_pm1(arr)).tobytes(), "little"))
 
     def __len__(self) -> int:
         return self.length
 
+    def _bytes(self) -> np.ndarray:
+        """The payload as ceil(n/8) little-endian bytes, the row format of `_packed`."""
+        return np.frombuffer(self.bits.to_bytes(-(-self.length // 8), "little"), dtype=np.uint8)
+
     @cached_property
     def _array(self) -> np.ndarray:
-        nbytes = (self.length + 7) // 8
-        raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=self.length, bitorder="little")
-        out = (1 - 2 * bits.astype(np.int8))
+        out = _symbols(self._bytes(), self.length)
         out.flags.writeable = False
         return out
 
@@ -132,7 +153,7 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy: hashmix
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_RAW_BLOCK_BYTES = 1 << 21  # Philox output buffered per row block before packing
+_RAW_BLOCK_BYTES = 1 << 21  # bytes per row block: Philox output before packing, ±1 rows unpacked
 
 
 def _hasher(const: int, mult: int):
@@ -255,10 +276,21 @@ def all_sequences_matrix(n: int) -> np.ndarray:
     """(2^n, n) int8 matrix of every sequence, rows in enumeration order."""
     _check_exhaustive(n)
     counters = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)  # bytes of i, low first
-    mat = np.unpackbits(counters, axis=1, count=n, bitorder="little").view(np.int8)
-    mat *= -2
-    mat += 1
-    return mat
+    return _symbols(counters, n)
+
+
+def _orbit_representatives(n: int) -> np.ndarray:
+    """(n, 2^(n-2)) int8 array whose columns are the sequences with a_1 = a_2 = +1,
+    in enumeration order: `all_sequences_matrix(n)[::4].T`, built without it.
+
+    Rows 0 and 1 are +1, and row j + 2 is -1 where bit j of the column index is set.
+    """
+    _check_exhaustive(n)
+    counter = np.arange(1 << (n - 2), dtype=np.uint32)
+    cols = np.ones((n, counter.size), dtype=np.int8)
+    for j in range(n - 2):
+        cols[j + 2] -= 2 * ((counter >> j) & 1).astype(np.int8)
+    return cols
 
 
 _ALPHABETS = {"+": {"+": 1, "-": -1}, "-": {"+": 1, "-": -1},

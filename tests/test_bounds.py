@@ -230,7 +230,7 @@ class TestEvenOrderCertificate:
 class TestExhaustiveOrbits:
     def test_representatives_are_every_fourth_sequence(self):
         for n in range(2, 15):
-            cols = bd._orbit_representatives(n)
+            cols = sc._orbit_representatives(n)
             assert cols.dtype == np.int8 and cols.flags.c_contiguous
             assert np.array_equal(cols.T, sc.all_sequences_matrix(n)[::4])
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,18 @@ PINNED_FILE = "+-++-+---++-+-+++--+\n++--+-+-+++---+-\n"
                   "50", "--seed", "4"],
                  0, "016ec79206f82388415c3a893a41f5a0890487670f029e5c86e6a608a31c2290",
                  id="measure-sampled"),
+    # a random 256-symbol file; order 13 has C(255, 12), about 6.6 * 2^64, tuples to draw from
+    pytest.param(["measure", "--file", "SEQ256", "--order", "3"],
+                 0, "34af6b6d2b490d57a29326456561f7c6655f773a34e57b20ae322eb4f5851a38",
+                 id="measure-256"),
+    pytest.param(["measure", "--file", "SEQ256", "--order", "6", "--sampled", "--budget",
+                  "10000", "--seed", "0"],
+                 0, "98eaeceb895b6a482ae2dd2a7de3894e5e66d4ed147478ece11c31a5c574c307",
+                 id="measure-256-sampled"),
+    pytest.param(["measure", "--file", "SEQ256", "--order", "13", "--sampled", "--budget",
+                  "2000", "--seed", "0"],
+                 0, "3a180f6627f40467e45b2f1c03b52b47fd516ecfafb2c17a60a18df897f5b9e7",
+                 id="measure-256-ranks-past-2-64"),
     pytest.param(["scan", "--file", "SEQS", "--orders", "2..4"],
                  0, "40a1810b89ca5175937c3c91f5d44265d9861072f5291e005e06ead4eb26fb55",
                  id="scan"),
@@ -351,9 +364,12 @@ def test_subcommand_stdout_bytes_pinned(capsys, monkeypatch, tmp_path, argv, cod
     # keep the headers that echo --file free of the temporary directory
     monkeypatch.chdir(tmp_path)
     Path("seqs.txt").write_text(PINNED_FILE)
+    rng = random.Random(0)
+    Path("seq256.txt").write_text("".join(rng.choice("+-") for _ in range(256)) + "\n")
     cfg = experiments.ExperimentConfig(n_grid=(32, 48), r=3, samples=6, master_seed=1)
     Path("report.json").write_text(experiments.emit_report(
         experiments.estimate_expected_ratio(cfg), "json"))
-    argv = [{"SEQS": "seqs.txt", "REPORT": "report.json"}.get(tok, tok) for tok in argv]
+    argv = [{"SEQS": "seqs.txt", "SEQ256": "seq256.txt", "REPORT": "report.json"}.get(tok, tok)
+            for tok in argv]
     got_code, out, _ = run_cli(capsys, *argv)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,28 @@ def test_sample_rows_are_random_sequence_draws():
     mat = xp._sample_matrix(37, 6, master_seed=11, base_stream=4)
     for i, row in enumerate(mat):
         assert row.tolist() == list(sc.random_sequence(37, sc.SeedSpec(11, 4 + i)).symbols())
+
+
+def test_sample_matrix_holds_one_full_size_array():
+    n, samples = 4096, 5000
+    tracemalloc.start()
+    try:
+        mat = xp._sample_matrix(n, samples, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * mat.nbytes  # the output, the packed rows and one 2 MB row block
+    bits = np.unpackbits(xp._random_bits(n, 0, range(samples)), axis=1, count=n,
+                         bitorder="little")
+    assert np.array_equal(mat, 1 - 2 * bits.view(np.int8))
+
+
+def test_sample_matrix_allocates_before_hashing_any_key(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sc, "_philox_keys", lambda *a: calls.append(a))
+    with pytest.raises(MemoryError):
+        xp._sample_matrix(4096, 1 << 50, 0, 0)  # 4 EiB, refused by the allocator at once
+    assert calls == []
 
 
 @pytest.mark.parametrize("base_stream", [0, 9, 2 ** 33])

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from corrlab import ParseError, ResourceLimitError
+from corrlab import bounds as bd
+from corrlab import measures as ms
 from corrlab import seqcore as sc
 
 
@@ -35,6 +40,36 @@ class TestBinarySequence:
         assert seq.prefix(2).symbols() == (1, 1)
         with pytest.raises(ValueError):
             seq.prefix(5)
+
+
+class TestCodec:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 70), st.data())
+    def test_symbols_invert_packed(self, rows, n, data):
+        mat = data.draw(arrays(np.int8, (rows, n), elements=st.sampled_from([-1, 1])))
+        assert np.array_equal(sc._symbols(sc._packed(mat), n), mat)
+        packed = data.draw(arrays(np.uint8, (rows, -(-n // 8))))
+        symbols = sc._symbols(packed, n)
+        assert symbols.dtype == np.int8 and symbols.shape == (rows, n)
+        cleared = packed.copy()
+        if n % 8:
+            cleared[:, -1] &= (1 << n % 8) - 1  # the bits at n and above
+        assert np.array_equal(sc._packed(symbols), cleared)
+
+    @pytest.mark.parametrize("entry", [
+        np.array(257), np.array(-255), np.array(1.5), np.array(255, dtype=np.uint8),
+        np.array(0), np.array(np.nan)], ids=["257", "-255", "1.5", "uint8-255", "0", "nan"])
+    @pytest.mark.parametrize("caller", [
+        sc.BinarySequence.from_array,
+        lambda row: ms.range_values_batch(row[None, :]),
+        lambda row: bd.VectorFamily(2, np.stack([row, np.ones_like(row)]))],
+        ids=["from_array", "range_values_batch", "VectorFamily"])
+    def test_every_pm1_check_rejects(self, caller, entry):
+        row = np.stack([entry, np.ones_like(entry)])  # [entry, 1], in the entry's dtype
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN must not warn in the int8 cast
+            with pytest.raises(ValueError, match="±1, each -1 or \\+1"):
+                caller(row)
 
 
 class TestGenerators:
