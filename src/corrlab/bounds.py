@@ -127,7 +127,7 @@ def certify_welch_families(ell: int, m: int, k: int, families: int,
     return reports
 
 
-def _exhaustive_worst(n: int, orders: Sequence[int], workers: int) -> list[int]:
+def _exhaustive_worst(n: int, orders: Sequence[int]) -> list[int]:
     """Min over all 2^n sequences of max(C_r for r in orders[:i+1]), for each i.
 
     Callers pass even orders only (2r, and 2, 4, ..., 2s). Negation a -> -a
@@ -135,13 +135,14 @@ def _exhaustive_worst(n: int, orders: Sequence[int], workers: int) -> list[int]:
     step by (-1)^(r j + u_2 + ... + u_r), a constant sign for even r, so it
     fixes even-order C_r. Negation flips (a_1, a_2) together and alternation
     flips a_1 alone, so every orbit meets a_1 = a_2 = +1: those 2^(n-2)
-    sequences give the same minima as all 2^n.
+    sequences give the same minima as all 2^n. The representatives are ±1
+    columns already, so each order goes straight to the column scan.
     """
-    mat = _orbit_representatives(n).T  # a transposed view: the column scan copies nothing
+    cols = _orbit_representatives(n)
     running = None
     worst = []
     for r in orders:
-        values = measures.exact_values_batch(mat, r, workers=workers)
+        values = measures._scan_columns(cols, r)
         running = values if running is None else np.maximum(running, values, out=running)
         worst.append(int(running.min()))
     return worst
@@ -194,7 +195,7 @@ def certify_theoremC(a: BinarySequence, r: int) -> BoundReport:
 def certify_theoremC_all(n: int, r: int, workers: int = 1) -> BoundReport:
     """Exhaustive worst case of the even-order bound over all 2^n sequences."""
     _check_even_args(n, r)
-    [worst] = _exhaustive_worst(n, [2 * r], workers)
+    [worst] = _exhaustive_worst(n, [2 * r])
     return _report(_even_bound(n, r), worst, kind="even_order_exhaustive", n=n, r=r,
                    sequences=1 << n)
 
@@ -235,7 +236,7 @@ def certify_theorem_max_all(n: int, s_values: Sequence[int] | None = None,
         _check_max_args(n, s)
     if not s_values:
         return []
-    worst = _exhaustive_worst(n, [2 * k for k in range(1, s_values[-1] + 1)], workers)
+    worst = _exhaustive_worst(n, [2 * k for k in range(1, s_values[-1] + 1)])
     return [_report(_max_bound(n, s), worst[s - 1], kind="max_even_orders_exhaustive",
                     n=n, s=s, sequences=1 << n) for s in s_values]
 

@@ -5,11 +5,11 @@ ranges with the batch kernels, and compares empirical statistics against the
 corresponding theoretical bound plus a declared statistical slack.
 
 The cell contract: grid point ci (the index in n_grid, so a repeated n is a new
-point) is drawn once, as rows from streams ci * samples on, and only when one of
-its (n, r) cells runs; skipped cells are noted in grid order; `workers` is
-passed through unchanged to the kernels. Every sample has its own derived
-stream and all reductions are exact or fixed-order, so reports are
-bit-identical for a fixed master seed at any worker count.
+point) is drawn once, as packed rows from streams ci * samples on that every cell
+reads as they are, and only when one of its (n, r) cells runs; skipped cells are
+noted in grid order; `workers` is accepted and changes no work. Every sample has
+its own derived stream and all reductions are exact or fixed-order, so reports
+are bit-identical for a fixed master seed at any worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import measures
 from .measures import log_binomial
-from .seqcore import _RAW_BLOCK_BYTES, _random_bits, _symbols
+from .seqcore import _random_bits
 from .seqcore import random_sequence  # noqa: F401  (perfbench/tracing.py patches this name)
 
 FORMATS = ("csv", "json")
@@ -122,20 +122,6 @@ class ExperimentReport:
 # sampling, cells and rows
 
 
-def _sample_matrix(n: int, samples: int, master_seed: int, base_stream: int) -> np.ndarray:
-    """Row i is random_sequence(n, SeedSpec(master_seed, base_stream + i)) as ±1 symbols:
-    the packed `seqcore._random_bits` rows, unpacked, for the cells that take a ±1
-    matrix (`measures.exact_values_batch` and the prefixes of `check_extension_difference`).
-    The output is allocated first, so a sample count too large to hold fails before any key
-    is hashed, and is filled in row blocks of about 2 MB: no second full-size array lives."""
-    mat = np.empty((samples, n), dtype=np.int8)
-    rows = _random_bits(n, master_seed, range(base_stream, base_stream + samples))
-    step = max(1, _RAW_BLOCK_BYTES // n)
-    for b0 in range(0, samples, step):
-        mat[b0:b0 + step] = _symbols(rows[b0:b0 + step], n)
-    return mat
-
-
 def _skip_reason(cfg: ExperimentConfig, n: int, r: int, top=lambda n: n - 1,
                  band: bool = False) -> str | None:
     """Why cell (n, r) does not run, or None: the band needs 4r <= n, and an
@@ -147,21 +133,22 @@ def _skip_reason(cfg: ExperimentConfig, n: int, r: int, top=lambda n: n - 1,
     return None
 
 
-def _cells(cfg: ExperimentConfig, orders, notes: list[str], workers: int, **rule):
+def _cells(cfg: ExperimentConfig, orders, notes: list[str], **rule):
     """Yield (grid index, n, r, exact C_r per sample) for each cell that runs,
     noting each skipped cell as the walk reaches it; `rule` goes to `_skip_reason`."""
     if all(_skip_reason(cfg, n, r, **rule) for n in cfg.n_grid for r in orders):
         raise ValueError("every cell of the grid is skipped, so nothing would be measured")
     for ci, n in enumerate(cfg.n_grid):
-        mat = None
+        bits = None
         for r in orders:
             reason = _skip_reason(cfg, n, r, **rule)
             if reason is not None:
                 notes.append(f"cell n={n} r={r} skipped: {reason}")
                 continue
-            if mat is None:
-                mat = _sample_matrix(n, cfg.samples, cfg.master_seed, ci * cfg.samples)
-            yield ci, n, r, measures.exact_values_batch(mat, r, workers=workers)
+            if bits is None:
+                bits = _random_bits(n, cfg.master_seed,
+                                    range(ci * cfg.samples, (ci + 1) * cfg.samples))
+            yield ci, n, r, measures._packed_values(bits, n, r)
 
 
 def _row(cfg: ExperimentConfig, n: int, r: int, statistic: str, value: float,
@@ -198,7 +185,7 @@ def estimate_expected_ratio(cfg: ExperimentConfig, workers: int = 1) -> Experime
     rows: list[StatRow] = []
     notes: list[str] = []
     means: list[float] = []
-    for _, n, r, values in _cells(cfg, (cfg.r,), notes, workers):
+    for _, n, r, values in _cells(cfg, (cfg.r,), notes):
         mean, std, err = _mean_std_err(values / measures.normalization(n, r).value)
         means.append(mean)
         for statistic, value in (("ratio_mean", mean), ("ratio_std", std), ("ratio_stderr", err)):
@@ -220,7 +207,7 @@ def check_uniform_upper(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRe
     t0 = time.perf_counter()
     rows: list[StatRow] = []
     notes: list[str] = [f"orders truncated to 2..{cfg.r_max}"]
-    cells = _cells(cfg, range(2, cfg.r_max + 1), notes, workers)
+    cells = _cells(cfg, range(2, cfg.r_max + 1), notes)
     for _, group in itertools.groupby(cells, key=lambda cell: cell[0]):
         event_ok = np.ones(cfg.samples, dtype=bool)
         for _, n, r, values in group:
@@ -241,7 +228,7 @@ def check_theoremA_band(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRe
         raise ValueError("band check needs n above e^e, i.e. n >= 16")
     rows: list[StatRow] = []
     notes: list[str] = [f"orders truncated to 2..{cfg.r_max}"]
-    for _, n, r, values in _cells(cfg, range(2, cfg.r_max + 1), notes, workers, band=True):
+    for _, n, r, values in _cells(cfg, range(2, cfg.r_max + 1), notes, band=True):
         lo = 0.4 * math.sqrt(n * log_binomial(n, r))
         hi = math.sqrt((2.0 + math.log(math.log(n)) / math.log(n))
                        * n * (math.log(n) + log_binomial(n, r)))
@@ -266,7 +253,7 @@ def check_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRe
         raise ValueError("concentration check needs a nonempty theta_grid")
     rows: list[StatRow] = []
     notes: list[str] = ["sample mean substitutes for the true expectation"]
-    for _, n, r, values in _cells(cfg, (cfg.r,), notes, workers, top=lambda n: n):
+    for _, n, r, values in _cells(cfg, (cfg.r,), notes, top=lambda n: n):
         mean, std, _ = _mean_std_err(values.astype(np.float64))
         rows.append(_row(cfg, n, r, "measure_mean", mean))
         rows.append(_row(cfg, n, r, "measure_std", std))
@@ -336,8 +323,8 @@ def check_extension_difference(cfg: ExperimentConfig, workers: int = 1) -> Exper
         if _skip_reason(cfg, n, r) is not None:
             raise ValueError(f"exact C_{r} infeasible or undefined at n={n}")
     rows: list[StatRow] = []
-    mat = _sample_matrix(grid[-1], cfg.samples, cfg.master_seed, 0)
-    per_n = [measures.exact_values_batch(mat[:, :n], r, workers=workers) for n in grid]
+    bits = _random_bits(grid[-1], cfg.master_seed, range(cfg.samples))
+    per_n = [measures._packed_values(bits, n, r) for n in grid]  # each prefix: the first n bits
     for k, (n_lo, n_hi) in enumerate(zip(grid, grid[1:])):
         diff = per_n[k + 1] - per_n[k]
         bound = math.sqrt(10.0 * (n_hi - n_lo) * log_binomial(n_hi, r - 1))

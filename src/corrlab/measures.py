@@ -207,8 +207,10 @@ def range_of_walk(steps: BinarySequence) -> int:
 # exact and sampled measures
 
 
-def _best_tuple(arr: np.ndarray, ranks: Sequence[int], k: int) -> tuple[int, tuple[int, ...]]:
-    """Largest walk range over a stream of colex ranks, with its first maximizer.
+def _best_tuple(row: np.ndarray, n: int, ranks: Sequence[int],
+                k: int) -> tuple[int, tuple[int, ...]]:
+    """Largest walk range over a stream of colex ranks, with its first maximizer,
+    for the length-n sequence of packed bytes `row`.
 
     Each block of ranks is unranked (`_unrank`) into rows, one per tuple,
     whose product is the XOR of r shifted word rows of the one sequence
@@ -218,9 +220,8 @@ def _best_tuple(arr: np.ndarray, ranks: Sequence[int], k: int) -> tuple[int, tup
     cleared for the minimum (it only rises), and the range is read from
     `_word_tables` as in `_word_ranges`. The first maximizer in stream order
     wins: argmax inside a block, strict > across blocks."""
-    n = arr.shape[0]
     width = -(-n // 16)
-    flat = _pack_phases(arr[None, :], 2 * width).ravel()  # fits a shift plus `width` words
+    flat = _pack_phases(row[None, :], n, 2 * width).ravel()  # fits a shift plus `width` words
     step_sum, _, _, top_less_sum, bottom_less_sum = _word_tables()
     block = max(1, _BLOCK_WORDS // width)
     best, best_offsets = -1, None
@@ -244,7 +245,7 @@ def _best_tuple(arr: np.ndarray, ranks: Sequence[int], k: int) -> tuple[int, tup
 
 def _result(a: BinarySequence, ranks: Sequence[int], k: int, exact: bool) -> CorrelationResult:
     """Best tuple of the colex ranks, with the earliest window that realizes its prefix range."""
-    best, offsets = _best_tuple(a.to_array(), ranks, k)
+    best, offsets = _best_tuple(a._bytes(), a.length, ranks, k)
     witness = ShiftTuple(offsets)
     prefix = np.cumsum(np.concatenate([[0], product_sequence(a, witness).to_array()]))  # from 0
     hi, lo = int(prefix.argmax()), int(prefix.argmin())
@@ -382,14 +383,20 @@ def _word_tables() -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _pack_phases(mat: np.ndarray, words: int) -> np.ndarray:
-    """The -1 bits of each row, packed little-endian into `words` 16-bit words once per phase
-    p < 16 (`packed[p]` starts at bit p), zero past the row: (16, rows, words)."""
-    packed = np.zeros((16, mat.shape[0], 2 * words), dtype=np.uint8)
+def _pack_phases(rows: np.ndarray, n: int, words: int) -> np.ndarray:
+    """Each packed byte row as `words` 16-bit words once per phase p < 16 (`packed[p]`
+    starts at bit p): (16, rows, words). Word i of phase p is the low half of
+    (w_i | w_{i+1} << 16) >> p, w the row's first ceil(n/8) bytes, zero-padded, as words.
+    Bits from n on stay: a product of length n - u_r reads only bits below n."""
+    nbytes = -(-n // 8)
+    buf = np.zeros((rows.shape[0], 2 * words + 2), dtype=np.uint8)
+    buf[:, :nbytes] = rows[:, :nbytes]
+    w = buf.view("<u2").astype(np.uint32)
+    pairs = w[:, :-1] | w[:, 1:] << 16
+    packed = np.empty((16, *pairs.shape), dtype=np.uint16)
     for p in range(16):
-        row_bytes = _packed(mat[:, p:])
-        packed[p, :, :row_bytes.shape[1]] = row_bytes
-    return packed.view("<u2")
+        packed[p] = pairs >> p
+    return packed
 
 
 def _word_ranges(prod: np.ndarray, length: int) -> np.ndarray:
@@ -428,15 +435,14 @@ def _packed_ranges(rows: np.ndarray, length: int) -> np.ndarray:
     return _word_ranges(rows.view("<u2"), length)
 
 
-def _scan_words(mat: np.ndarray, r: int) -> np.ndarray:
-    """C_r of every row of a (rows, n) matrix, as int32, on packed 16-bit words.
+def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
+    """C_r of the first n bits of every packed byte row, as int32, on 16-bit words.
 
     A product sequence is the XOR of r shifted rows of -1 bits, and on the
     phases of `_pack_phases` the shift by u is the word-aligned slice
     `phases[u & 15][:, u >> 4:]`; `_word_ranges` reads its walk range."""
-    rows, n = mat.shape
-    phases = _pack_phases(mat, -(-n // 16))
-    best = np.zeros(rows, dtype=np.int32)
+    phases = _pack_phases(rows, n, -(-n // 16))
+    best = np.zeros(rows.shape[0], dtype=np.int32)
     for offsets in colex_offsets(n, r - 1):
         length = n - offsets[-1]
         words = -(-length // 16)
@@ -472,34 +478,38 @@ def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
     return best.astype(np.int32)
 
 
-def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
-    """Exact C_r value for every row of a ±1 matrix (or list of sequences), as int32.
+def _packed_values(rows: np.ndarray, n: int, r: int) -> np.ndarray:
+    """C_r of the first n bits of every packed byte row, as int32.
 
-    Two layouts give the same values. A tall matrix (rows >= 8 n) is scanned
-    column by column on its (n, rows) transpose (`_scan_columns`); the
-    transpose is free when `seqs` is already the `.T` of a C-contiguous array.
-    Anything shorter is scanned on packed 16-bit words (`_scan_words`).
-    Measured at r = 2 unless noted (2-core VM), the column scan took this share
-    of the word scan's time: 0.89 at 64 x 16, 0.84 at 128 x 16, 2.16 at 256 x 64,
-    1.65 at 512 x 64, 1.09 at 1024 x 64, 0.68 at 2048 x 64, 0.81 at 4096 x 256,
-    0.62 at 1024 x 12 (r = 4). The crossover moves with n, from about 4 n rows at
-    n = 16 to about 24 n at n = 64, but rows = 8 n still sends the shapes of
-    the benchmark and the acceptance runs to their faster layout: exhaustive
-    certificates (2^(n-2) x n) to columns, Monte Carlo cells to words.
-
-    `workers` is accepted for interface stability; the tuples are enumerated
-    serially, and the result is the same for every value.
-    """
-    mat = _as_matrix(seqs)
-    rows, n = mat.shape
+    Two layouts give the same values. Tall rows (at least 8 n of them) are
+    unpacked to ±1 and scanned column by column on their (n, rows) transpose
+    (`_scan_columns`); anything shorter is scanned on 16-bit words
+    (`_scan_words`). Measured at r = 2 unless noted (2-core VM), the column scan
+    took this share of the word scan's time: 0.89 at 64 x 16, 0.84 at 128 x 16,
+    2.16 at 256 x 64, 1.65 at 512 x 64, 1.09 at 1024 x 64, 0.68 at 2048 x 64,
+    0.81 at 4096 x 256, 0.62 at 1024 x 12 (r = 4). The crossover moves with n,
+    from about 4 n rows at n = 16 to about 24 n at n = 64, but rows = 8 n still
+    sends the benchmark's and acceptance runs' Monte Carlo cells to words (the
+    exhaustive certificates call `_scan_columns` on their ±1 columns directly)."""
     _check_order(n, r)
     if math.comb(n - 1, r - 1) > 10 ** 8:
         raise ResourceLimitError(
             f"batch kernel would enumerate {math.comb(n - 1, r - 1):.2e} tuples; "
             "use correlation_measure_sampled per sequence instead")
-    if rows >= 8 * n:
-        return _scan_columns(np.ascontiguousarray(mat.T), r)
-    return _scan_words(mat, r)
+    if rows.shape[0] >= 8 * n:
+        return _scan_columns(np.ascontiguousarray(_symbols(rows, n).T), r)
+    return _scan_words(rows, n, r)
+
+
+def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
+    """Exact C_r value for every row of a ±1 matrix (or list of sequences), as int32:
+    the rows are packed into bytes and `_packed_values` picks the layout.
+
+    `workers` is accepted for interface stability; the tuples are enumerated
+    serially, and the result is the same for every value.
+    """
+    mat = _as_matrix(seqs)
+    return _packed_values(_packed(mat), mat.shape[1], r)
 
 
 def range_values_batch(mat: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ popcounts (the bit path of `product_sequence`, `correlation_sum` and
 and three helpers here are the one home of that format: `_pm1` checks entries are
 ±1 and gives them as int8, `_packed` packs ±1 rows into bytes, and `_symbols`
 unpacks byte rows into ±1 int8. Random rows come from one packed sampler,
-`_random_bits`, which reproduces numpy's seeded Philox draws bit for bit;
-`measures._packed_ranges` reads its rows as they are for the tail of `experiments`.
+`_random_bits`, which reproduces numpy's seeded Philox draws bit for bit; the
+Monte Carlo cells and the tail of `experiments` read its rows as they are.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy: hashmix
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_RAW_BLOCK_BYTES = 1 << 21  # bytes per row block: Philox output before packing, ±1 rows unpacked
+_RAW_BLOCK_BYTES = 1 << 21  # bytes per row block of Philox output before packing
 
 
 def _hasher(const: int, mult: int):

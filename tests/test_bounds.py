@@ -243,10 +243,10 @@ class TestExhaustiveOrbits:
         for r in orders:
             np.maximum(running, ms.exact_values_batch(mat, r), out=running)
             want.append(int(running.min()))
-        assert bd._exhaustive_worst(n, orders, 1) == want
+        assert bd._exhaustive_worst(n, orders) == want
 
     def test_pinned_values(self):
-        assert bd._exhaustive_worst(16, [2, 4, 6, 8, 10], 1) == [4, 7, 7, 8, 8]
+        assert bd._exhaustive_worst(16, [2, 4, 6, 8, 10]) == [4, 7, 7, 8, 8]
         rep = bd.certify_theoremC_all(20, 2)
         assert rep.achieved_value == 8
         assert rep.construction["sequences"] == 1 << 20

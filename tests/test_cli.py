@@ -113,6 +113,10 @@ class TestBounds:
              "a1284639661c642bc9f1c78b477a1f470cd05ffe47f4a523078f07c7c4206587"),
             (["--check", "max", "--s", "2", "--file", str(path)],
              "c8d5086105f9b3b27e06037b9d5f76e991ca28a8600494a40ef81ddeb7a9de87"),
+            (["--check", "theoremC", "--n", "20", "--r", "2", "--exhaustive"],
+             "4984ca6ee9920382a39ad7b9d544903392aa3fb7292ecfcb97ccecabac549ba0"),
+            (["--check", "max", "--n", "16", "--s", "5", "--exhaustive"],
+             "2f495cd33b2ac995d82a70bf7e70bfe3ed78d3d7afe34213cfc6ac814350eca5"),
         ]
         for argv, digest in cases:
             code, out, _ = run_cli(capsys, "bounds", *argv)
@@ -318,6 +322,10 @@ PINNED_FILE = "+-++-+---++-+-+++--+\n++--+-+-+++---+-\n"
     pytest.param(["trend", "--n-grid", "32,128", "--samples", "20", "--seed", "2"],
                  1, "6c5ff6eb93ee32872ae7faa11123a2f1e1637dfa55ba50c69a4dd96f5358ee48",
                  id="trend-failed-verdict"),
+    pytest.param(["trend", "--n-grid", "256,2048", "--order", "2", "--samples", "40",
+                  "--seed", "0"],  # the README's wide-row trend run
+                 0, "56b71ec2d072341791ca44c4f9c072d5fa472aea5b29a9b2067bba3919dd3bc4",
+                 id="trend-wide-rows"),
     pytest.param(["expect", "--n-grid", "24,48", "--order", "3", "--samples", "10",
                   "--seed", "8", "--format", "json"],
                  0, "a3451d62c9fa72712f6f8b8f22873a8ad33e91987261b9f3a50c4e60ccfdab87",

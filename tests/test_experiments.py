@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,30 +11,29 @@ from corrlab import seqcore as sc
 
 
 def test_sample_rows_are_random_sequence_draws():
-    mat = xp._sample_matrix(37, 6, master_seed=11, base_stream=4)
-    for i, row in enumerate(mat):
-        assert row.tolist() == list(sc.random_sequence(37, sc.SeedSpec(11, 4 + i)).symbols())
+    rows = xp._random_bits(37, 11, range(4, 10))
+    for i, row in enumerate(rows):
+        want = sc.random_sequence(37, sc.SeedSpec(11, 4 + i)).bits
+        assert int.from_bytes(row.tobytes(), "little") == want
 
 
-def test_sample_matrix_holds_one_full_size_array():
-    n, samples = 4096, 5000
-    tracemalloc.start()
-    try:
-        mat = xp._sample_matrix(n, samples, 0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * mat.nbytes  # the output, the packed rows and one 2 MB row block
-    bits = np.unpackbits(xp._random_bits(n, 0, range(samples)), axis=1, count=n,
-                         bitorder="little")
-    assert np.array_equal(mat, 1 - 2 * bits.view(np.int8))
+def test_cells_read_packed_rows_without_a_pm1_matrix(monkeypatch):
+    ms._word_tables()  # built once, from ±1 symbols; cached before the patches below
+
+    def refuse(*args):
+        raise AssertionError("a Monte Carlo cell unpacked or checked ±1 rows")
+
+    monkeypatch.setattr(ms, "_as_matrix", refuse)
+    monkeypatch.setattr(ms, "_symbols", refuse)
+    rep = xp.estimate_expected_ratio(xp.ExperimentConfig(n_grid=(64, 2048), samples=8))
+    assert len(rep.values("ratio_mean")) == 2
 
 
-def test_sample_matrix_allocates_before_hashing_any_key(monkeypatch):
+def test_random_bits_allocates_before_hashing_any_key(monkeypatch):
     calls = []
     monkeypatch.setattr(sc, "_philox_keys", lambda *a: calls.append(a))
     with pytest.raises(MemoryError):
-        xp._sample_matrix(4096, 1 << 50, 0, 0)  # 4 EiB, refused by the allocator at once
+        sc._random_bits(4096, 0, range(1 << 50))  # 512 PiB, refused by the allocator at once
     assert calls == []
 
 
@@ -44,8 +42,9 @@ def test_sample_words_are_phase_zero_of_the_sample_rows(base_stream):
     """The sampler's byte rows, read as 16-bit words, are phase 0 of the sample rows."""
     for n in [*range(1, 49), 1000, 4097]:  # 1000 and 4097 have an odd byte count
         rows = xp._random_bits(n, 7, range(base_stream, base_stream + 5))
-        mat = xp._sample_matrix(n, 5, 7, base_stream)
-        expect = ms._pack_phases(mat, -(-n // 16))[0].view(np.uint8)
+        mat = np.stack([sc.random_sequence(n, sc.SeedSpec(7, base_stream + i)).to_array()
+                        for i in range(5)])
+        expect = ms._pack_phases(sc._packed(mat), n, -(-n // 16))[0].view(np.uint8)
         assert rows.dtype == expect.dtype and rows.shape == (5, -(-n // 8)), n
         assert (rows == expect[:, :rows.shape[1]]).all(), n
         assert not expect[:, rows.shape[1]:].any(), n  # the pad byte of an odd width
@@ -157,7 +156,7 @@ class TestUniformUpper:
 
     def test_all_cells_skipped_rejected_before_sampling(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(xp, "_sample_matrix", lambda *a: calls.append(a))
+        monkeypatch.setattr(xp, "_random_bits", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match="every cell"):
             xp.check_uniform_upper(xp.ExperimentConfig(n_grid=(2,), r_max=3))
         assert calls == []
@@ -214,9 +213,9 @@ class TestRangeTail:
         calls = []
         real = xp._random_bits
         monkeypatch.setattr(xp, "_random_bits", lambda *a: calls.append(a) or real(*a))
-        for name in ("_pack_phases", "_as_matrix"):  # the tail builds no ±1 matrix
+        ms._word_tables()  # cached before `_symbols` is patched out
+        for name in ("_pack_phases", "_as_matrix", "_symbols"):  # the tail builds no ±1 matrix
             monkeypatch.setattr(ms, name, None)
-        monkeypatch.setattr(xp, "_sample_matrix", None)
         cfg = xp.ExperimentConfig(n_grid=(64, 100, 64), samples=8, master_seed=4,
                                   lambda_grid=(21.0, 30.0), dyadic_p=1)
         xp.check_range_tail(cfg)
@@ -309,7 +308,8 @@ class TestReports:
     # trend grid (it must increase strictly) and in mid-grid, every order
     # skipped at one n, a repeated n (two grid points, two sample streams),
     # both band skip reasons, the r = n concentration cell, eps = 0,
-    # a dyadic hit and skip, and equal extension lengths.
+    # a dyadic hit and skip, equal extension lengths, extension prefixes that
+    # end inside a byte, and cells of at least 8 n rows (the column layout).
     PINNED = [
         ("estimate_expected_ratio", dict(n_grid=(64,), r=2, samples=6, master_seed=3),
          "11f59d92204e475f16e7971946f85dcac6a2e9fce79978f3960542f5d68ef7e8",
@@ -346,12 +346,20 @@ class TestReports:
                                             master_seed=7),
          "1d954034af18a4abe1acc301279c86671a8cf145dcd4a8cc60111e4b26097b7c",
          "e827c5cf49cdcb3ea34013352e2c39422cf11ce7de5b074c0e49f9941fd7b685"),
+        ("check_extension_difference", dict(n_grid=(37, 45, 61), r=2, samples=6,
+                                            master_seed=9),
+         "c7ca67bd0fbe93c83e80299b7825c9eef2e0228009dc26f054c8d92dcb18ff30",
+         "8b67dc491d03791783c0ab830021665c4f4af95a90119adca11a5ab07bbe94fe"),
+        ("check_uniform_upper", dict(n_grid=(13, 20), r_max=3, samples=200, master_seed=1),
+         "e5f4e51d1c9a0c3f4c758bfe890bc29c8dcf97a76352287c58c17c94873ef98a",
+         "97deded6fb003ae007a65f9b66bd470a14886ec05bc90c0afa568a75949cb608"),
     ]
 
     @pytest.mark.parametrize("name,kwargs,csv_digest,json_digest", PINNED, ids=[
         "ratio_one_cell", "ratio_edge_skips", "uniform_repeated_n", "uniform_eps_zero",
         "band_both_skips", "concentration_r_eq_n", "tail_dyadic_hit_and_skip",
-        "tail_no_dyadic", "extension_equal_lengths"])
+        "tail_no_dyadic", "extension_equal_lengths", "extension_prefixes_inside_a_byte",
+        "uniform_tall_rows"])
     def test_report_bytes_pinned(self, name, kwargs, csv_digest, json_digest):
         rep = getattr(xp, name)(xp.ExperimentConfig(**kwargs))
         for fmt, digest in (("csv", csv_digest), ("json", json_digest)):

@@ -449,10 +449,10 @@ class TestBatchKernels:
         # every order, odd ones and r = n (one tuple, products of length 1) included
         for n in range(2, 11):
             mat = sc.all_sequences_matrix(n)
-            cols = np.ascontiguousarray(mat.T)
+            rows, cols = sc._packed(mat), np.ascontiguousarray(mat.T)
             for r in range(2, n + 1):
                 want = orc.naive_values_all(n, r)
-                by_words, by_columns = ms._scan_words(mat, r), ms._scan_columns(cols, r)
+                by_words, by_columns = ms._scan_words(rows, n, r), ms._scan_columns(cols, r)
                 assert by_words.dtype == by_columns.dtype == np.int32
                 assert np.array_equal(by_words, want)
                 assert np.array_equal(by_columns, want)

@@ -2,9 +2,10 @@
 
 Inputs are bounded (n <= 14, r <= 4; the two batch layouts are compared up
 to n = 80, r = 5 and 1,000 tuples, the single-sequence word reduction up to
-n = 80, r = 5 and 40 tuples, and the walk ranges up to n = 80) and the
-search is derandomized, so the module runs in a few seconds and every run
-draws the same examples.
+n = 80, r = 5 and 40 tuples, the walk ranges up to n = 80, the phase words
+up to n = 70 plus 1000 and 4097, and packed rows with arbitrary bits past
+n up to n = 20, r = 4) and the search is derandomized, so the module runs
+in a few seconds and every run draws the same examples.
 """
 
 import math
@@ -68,10 +69,57 @@ def tall_or_wide_matrix(draw):
 @given(tall_or_wide_matrix())
 def test_layouts_agree(case):
     mat, r = case
-    by_words = ms._scan_words(mat, r)
+    by_words = ms._scan_words(sc._packed(mat), mat.shape[1], r)
     assert by_words.dtype == np.int32
     assert np.array_equal(by_words, ms._scan_columns(np.ascontiguousarray(mat.T), r))
     assert np.array_equal(by_words, ms.exact_values_batch(mat, r))
+
+
+@PROPERTY
+@given(st.one_of(st.integers(1, 70), st.sampled_from([1000, 4097])),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+def test_phase_words_are_shifted_packed_rows(n, seed, fold):
+    """Phase p of `_pack_phases` is the row's bits from p on, packed and zero-padded."""
+    rng = np.random.default_rng(seed)
+    rows = sc._packed((1 - 2 * rng.integers(0, 2, size=(3, n))).astype(np.int8))  # zero past n
+    words = fold * -(-n // 16)
+    phases = ms._pack_phases(rows, n, words)
+    assert phases.shape == (16, 3, words) and phases.dtype == np.uint16
+    symbols = sc._symbols(rows, n)
+    for p in range(16):
+        want = np.zeros((3, 2 * words), dtype=np.uint8)
+        packed = np.packbits(symbols[:, p:] < 0, axis=1, bitorder="little")
+        want[:, :packed.shape[1]] = packed
+        assert np.array_equal(phases[p], want.view("<u2")), p
+
+
+@st.composite
+def packed_rows_and_order(draw):
+    """Byte rows of n = 2..20 bits plus 0..2 spare bytes, with arbitrary bits from
+    n on, and 1..8 n + 8 of them (both sides of the rows = 8 n layout rule), whose
+    first n bits take at most six distinct values, so the oracle runs six times."""
+    n = draw(st.integers(2, 20))
+    r = draw(st.integers(2, min(4, n)))
+    payloads = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    count = draw(st.one_of(st.integers(1, 8 * n + 8), st.sampled_from([8 * n - 1, 8 * n])))
+    width = -(-n // 8) + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pick = rng.integers(0, len(payloads), size=count)
+    low, keep = (np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in values),
+                               dtype=np.uint8).reshape(-1, width)
+                 for values in (payloads, [(1 << n) - 1]))
+    rows = low[pick] | (rng.integers(0, 256, size=(count, width), dtype=np.uint8) & ~keep)
+    return rows, n, r, [sc.BinarySequence(n, payloads[i]) for i in pick]
+
+
+@PROPERTY
+@given(packed_rows_and_order())
+def test_packed_values_read_the_first_n_bits(case):
+    rows, n, r, seqs = case
+    naive = {s.bits: orc.naive_correlation_measure(s, r) for s in set(seqs)}
+    got = ms._packed_values(rows, n, r)
+    assert got.dtype == np.int32
+    assert got.tolist() == [naive[s.bits] for s in seqs]
 
 
 @st.composite
@@ -92,7 +140,7 @@ def test_best_tuple_is_first_maximizer(case):
     tuples = [ms.colex_unrank(q, k) for q in ranks]
     ranges = [ms.range_of_walk(ms.product_sequence(seq, ms.ShiftTuple(t))) for t in tuples]
     with mock.patch.object(ms, "_BLOCK_WORDS", block_words):  # 16 words: blocks of 3 to 16 rows
-        got = ms._best_tuple(seq.to_array(), ranks, k)
+        got = ms._best_tuple(seq._bytes(), seq.length, ranks, k)
     assert got == (max(ranges), tuples[ranges.index(max(ranges))])
 
 
