@@ -25,7 +25,7 @@ from .errors import ResourceLimitError
 from .seqcore import BinarySequence, SeedSpec, _packed, _pm1, _symbols
 
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
-_BLOCK_WORDS = 1 << 15  # packed words per tuple block of _best_tuple; fastest of 2^13..2^16
+_BLOCK_WORDS = 1 << 15  # words per tuple block: _best_tuple (fastest of 2^13..2^16), _scan_words
 EXACT_LOG_DIGIT_CAP = 5000  # decimal digits above which binomial logs use log-gamma, not big ints
 
 
@@ -399,24 +399,26 @@ def _pack_phases(rows: np.ndarray, n: int, words: int) -> np.ndarray:
     return packed
 
 
-def _word_ranges(prod: np.ndarray, length: int) -> np.ndarray:
+def _word_ranges(prod: np.ndarray, length: int | np.ndarray) -> np.ndarray:
     """Walk range of each row of packed words whose first `length` bits are the steps, as int32.
 
-    A walk's maximum is max_k(T_{k-1} + hi_k) = max_k(T_k + hi_k - s_k) with T
+    `length` may be one int per row if all share length // 16 and hold a word past
+    it. A walk's maximum is max_k(T_{k-1} + hi_k) = max_k(T_k + hi_k - s_k) with T
     the word-level prefix sum, and its minimum likewise: the (sum, max prefix,
-    min prefix) scan monoid (Blelloch 1990). Of the last word only the first
-    length % 16 bits are steps; the rest are set for the maximum (so the walk
-    only falls after them) and cleared for the minimum (it only rises). The
+    min prefix) scan monoid (Blelloch 1990). Of the word after the whole ones
+    only the first length % 16 bits are steps; the rest are set for the maximum
+    (so the walk only falls after them) and cleared for the minimum (it only
+    rises), and with no bits left top[0xFFFF] = bottom[0] = 0 moves neither. The
     prefix sums are int32: they cannot wrap, and on long rows numpy's int32
     running sum measured faster than its int16 one."""
     step_sum, top, bottom, top_less_sum, bottom_less_sum = _word_tables()
-    full, m = divmod(length, 16)
+    full = int(length.min()) // 16 if isinstance(length, np.ndarray) else length // 16
     head = prod[:, :full]
     walk = step_sum.take(head).cumsum(axis=1, dtype=np.int32)
     hi = (walk + top_less_sum.take(head)).max(axis=1, initial=0)
     lo = (walk + bottom_less_sum.take(head)).min(axis=1, initial=0)
-    if m:
-        last, keep = prod[:, full], (1 << m) - 1
+    if prod.shape[1] > full:
+        last, keep = prod[:, full], (1 << length - 16 * full) - 1
         end = walk[:, -1] if full else 0
         np.maximum(hi, top.take(last | (0xFFFF ^ keep)) + end, out=hi)
         np.minimum(lo, bottom.take(last & keep) + end, out=lo)
@@ -440,17 +442,39 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
 
     A product sequence is the XOR of r shifted rows of -1 bits, and on the
     phases of `_pack_phases` the shift by u is the word-aligned slice
-    `phases[u & 15][:, u >> 4:]`; `_word_ranges` reads its walk range."""
-    phases = _pack_phases(rows, n, -(-n // 16))
-    best = np.zeros(rows.shape[0], dtype=np.int32)
-    for offsets in colex_offsets(n, r - 1):
-        length = n - offsets[-1]
-        words = -(-length // 16)
-        prod = phases[0, :, :words].copy()
-        for u in offsets:
-            prod ^= phases[u & 15, :, u >> 4:(u >> 4) + words]
-        np.maximum(best, _word_ranges(prod, length), out=best)
-    return best
+    `phases[u & 15][:, u >> 4:]`. Tuples that share their upper offsets
+    (u_3, ..., u_r; none at r = 2) and their product's whole-word count differ
+    only in u_2 < u_3 (< n at r = 2), and u_2 = 16 q + p for p0 <= p < p1 is the
+    one slice `phases[p0:p1, :, q:]`. So each block of u_2 values (at most
+    `_BLOCK_WORDS` words) XORs the upper offsets' product with a slice per 16 of
+    them, and one `_word_ranges` call reads it, at r = 2 with a length per row.
+    Products read a word past their whole ones: the phases hold a spare word."""
+    phases, count = _pack_phases(rows, n, n // 16 + 1), rows.shape[0]
+    if not count:  # no rows: no blocks to size
+        return np.zeros(0, dtype=np.int32)
+    best = np.zeros(max(1, min(n - 1, _BLOCK_WORDS // count)) * count, dtype=np.int32)
+    for upper in colex_offsets(n, r - 2) if r > 2 else [()]:
+        u2, stop = 1, upper[0] if upper else n
+        while u2 < stop:  # a run of u_2 whose products have one whole-word count
+            words = (n - (upper or (u2,))[-1]) // 16 + 1  # (n - u_r) // 16 and the spare
+            run = min(stop, n + 17 - 16 * words)  # at r = 2, where (n - u_2) // 16 changes
+            base = phases[0, :, :words]
+            for u in upper:
+                base = base ^ phases[u & 15, :, u >> 4:(u >> 4) + words]
+            block = max(1, _BLOCK_WORDS // (count * words))
+            for first in range(u2, run, block):
+                last = min(first + block, run)
+                prod = np.empty((last - first, count, words), dtype=np.uint16)
+                for q in range(first >> 4, ((last - 1) >> 4) + 1):
+                    p0, p1 = max(first - 16 * q, 0), min(last - 16 * q, 16)
+                    np.bitwise_xor(phases[p0:p1, :, q:q + words], base,
+                                   out=prod[16 * q + p0 - first:16 * q + p1 - first])
+                steps = (np.repeat(n - np.arange(first, last), count) if last - first > 1
+                         and not upper else n - (upper or (first,))[-1])  # n - u_r per row
+                out = best[:prod.shape[0] * count]
+                np.maximum(out, _word_ranges(prod.reshape(-1, words), steps), out=out)
+            u2 = run
+    return best.reshape(-1, count).max(axis=0)
 
 
 def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
@@ -481,22 +505,28 @@ def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
 def _packed_values(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     """C_r of the first n bits of every packed byte row, as int32.
 
-    Two layouts give the same values. Tall rows (at least 8 n of them) are
+    Two layouts give the same values. At least max(2048 (r - 1), 16 n) rows are
     unpacked to ±1 and scanned column by column on their (n, rows) transpose
-    (`_scan_columns`); anything shorter is scanned on 16-bit words
-    (`_scan_words`). Measured at r = 2 unless noted (2-core VM), the column scan
-    took this share of the word scan's time: 0.89 at 64 x 16, 0.84 at 128 x 16,
-    2.16 at 256 x 64, 1.65 at 512 x 64, 1.09 at 1024 x 64, 0.68 at 2048 x 64,
-    0.81 at 4096 x 256, 0.62 at 1024 x 12 (r = 4). The crossover moves with n,
-    from about 4 n rows at n = 16 to about 24 n at n = 64, but rows = 8 n still
-    sends the benchmark's and acceptance runs' Monte Carlo cells to words (the
-    exhaustive certificates call `_scan_columns` on their ±1 columns directly)."""
+    (`_scan_columns`); fewer go to `_scan_words`. Column time over word time
+    (2-core VM, min of 5-7 runs; r = 3 at n >= 256 on the tuples of 16 u_3):
+        n, r      256    512   1024   2048   4096   8192  16384 rows
+        16, 2    3.08   3.14   2.21   0.77   0.58   0.43   0.42
+        16, 3    4.05   3.95   3.18   2.25   1.42   0.92   0.65
+        64, 2    4.29   2.88   1.41   0.76   0.45   0.27   0.21
+        64, 3    6.89   4.16   2.08   1.26   0.73   0.44   0.32
+        256, 2   8.94   5.20   2.71   1.48   0.87   0.53   0.38
+        256, 3   9.44   5.47   2.87   1.56   0.89   0.55   0.40
+        1024, 2 18.36  10.55   5.80   3.22   1.75   1.12   0.90
+        1024, 3 21.73  11.80   6.43   3.45   1.97   1.29   0.87
+    The rule's layout is within 1.1x of the faster one but at 16, 3, 4096 rows
+    (1.42x, 1.5 against 1.0 ms), whose edge cannot rise without failing 64, 3.
+    Exhaustive certificates call `_scan_columns` on their ±1 columns directly."""
     _check_order(n, r)
     if math.comb(n - 1, r - 1) > 10 ** 8:
         raise ResourceLimitError(
             f"batch kernel would enumerate {math.comb(n - 1, r - 1):.2e} tuples; "
             "use correlation_measure_sampled per sequence instead")
-    if rows.shape[0] >= 8 * n:
+    if rows.shape[0] >= max(2048 * (r - 1), 16 * n):
         return _scan_columns(np.ascontiguousarray(_symbols(rows, n).T), r)
     return _scan_words(rows, n, r)
 

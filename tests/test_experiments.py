@@ -309,7 +309,9 @@ class TestReports:
     # skipped at one n, a repeated n (two grid points, two sample streams),
     # both band skip reasons, the r = n concentration cell, eps = 0,
     # a dyadic hit and skip, equal extension lengths, extension prefixes that
-    # end inside a byte, and cells of at least 8 n rows (the column layout).
+    # end inside a byte, cells of 200 rows at n = 13 and 20 (the word layout since
+    # the layout edge moved to max(2048 (r - 1), 16 n) rows; the column layout
+    # before), and cells of 4096 rows at r = 2 and 3 (the column layout).
     PINNED = [
         ("estimate_expected_ratio", dict(n_grid=(64,), r=2, samples=6, master_seed=3),
          "11f59d92204e475f16e7971946f85dcac6a2e9fce79978f3960542f5d68ef7e8",
@@ -353,13 +355,16 @@ class TestReports:
         ("check_uniform_upper", dict(n_grid=(13, 20), r_max=3, samples=200, master_seed=1),
          "e5f4e51d1c9a0c3f4c758bfe890bc29c8dcf97a76352287c58c17c94873ef98a",
          "97deded6fb003ae007a65f9b66bd470a14886ec05bc90c0afa568a75949cb608"),
+        ("check_uniform_upper", dict(n_grid=(13,), r_max=3, samples=4096, master_seed=1),
+         "0f62eb1ae0893b616ff52628588914f8807400146b3dc0925e0a81e74aabba6b",
+         "3dc7b92b261c18c8a4ec9f1eb867f5093e5571f30cf331856847d042c95767ae"),
     ]
 
     @pytest.mark.parametrize("name,kwargs,csv_digest,json_digest", PINNED, ids=[
         "ratio_one_cell", "ratio_edge_skips", "uniform_repeated_n", "uniform_eps_zero",
         "band_both_skips", "concentration_r_eq_n", "tail_dyadic_hit_and_skip",
         "tail_no_dyadic", "extension_equal_lengths", "extension_prefixes_inside_a_byte",
-        "uniform_tall_rows"])
+        "uniform_tall_rows", "uniform_column_layout"])
     def test_report_bytes_pinned(self, name, kwargs, csv_digest, json_digest):
         rep = getattr(xp, name)(xp.ExperimentConfig(**kwargs))
         for fmt, digest in (("csv", csv_digest), ("json", json_digest)):

@@ -410,6 +410,11 @@ class TestBatchKernels:
             for seq, val in zip(seqs, batch):
                 assert ms.correlation_measure_exact(seq, r).value == val
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_no_rows_no_values(self, r):
+        got = ms.exact_values_batch(np.ones((0, 40), dtype=np.int8), r)
+        assert got.dtype == np.int32 and got.shape == (0,)
+
     def test_worker_independence(self):
         rng = np.random.default_rng(61)
         mat = np.stack([random_seq(rng, 64).to_array() for _ in range(16)])
@@ -457,13 +462,17 @@ class TestBatchKernels:
                 assert np.array_equal(by_words, want)
                 assert np.array_equal(by_columns, want)
 
-    @pytest.mark.parametrize("rows,layout", [(127, "_scan_words"), (128, "_scan_columns")])
-    def test_layout_threshold(self, monkeypatch, rows, layout):
+    # the edge max(2048 (r - 1), 16 n): its r term at n = 16, its n term at n = 256
+    @pytest.mark.parametrize("rows,n,r,layout", [
+        (2047, 16, 2, "_scan_words"), (2048, 16, 2, "_scan_columns"),
+        (4095, 16, 3, "_scan_words"), (4096, 16, 3, "_scan_columns"),
+        (4095, 256, 2, "_scan_words"), (4096, 256, 2, "_scan_columns")])
+    def test_layout_threshold(self, monkeypatch, rows, n, r, layout):
         called = []
         original = getattr(ms, layout)
         monkeypatch.setattr(ms, layout, lambda *a: called.append(layout) or original(*a))
-        mat = (1 - 2 * np.random.default_rng(79).integers(0, 2, size=(rows, 16))).astype(np.int8)
-        ms.exact_values_batch(mat, 2)
+        mat = (1 - 2 * np.random.default_rng(79).integers(0, 2, size=(rows, n))).astype(np.int8)
+        ms.exact_values_batch(mat, r)
         assert called == [layout]
 
     def test_long_walk_uses_wide_prefix_sums(self):

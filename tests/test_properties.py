@@ -1,7 +1,8 @@
 """Property tests tying the fast kernels to the literal oracles.
 
 Inputs are bounded (n <= 14, r <= 4; the two batch layouts are compared up
-to n = 80, r = 5 and 1,000 tuples, the single-sequence word reduction up to
+to n = 80, r = 5 and 1,000 tuples, and the blocked word scan also at n = 1000
+and 4097, r = 2, against the single-sequence word reduction, which goes up to
 n = 80, r = 5 and 40 tuples, the walk ranges up to n = 80, the phase words
 up to n = 70 plus 1000 and 4097, and packed rows with arbitrary bits past
 n up to n = 20, r = 4) and the search is derandomized, so the module runs
@@ -56,8 +57,8 @@ def test_batch_rows_equal_naive(case):
 
 @st.composite
 def tall_or_wide_matrix(draw):
-    """A ±1 matrix with 1..300 rows and n = 2..80: both sides of rows = 8 n, and
-    products shorter than a 16-bit word, a whole number of words and several words."""
+    """A ±1 matrix with 1..300 rows and n = 2..80: products shorter than a 16-bit
+    word, a whole number of words and several words."""
     n = draw(st.integers(2, 80))
     top = max(r for r in range(2, min(5, n) + 1) if math.comb(n - 1, r - 1) <= 1000)
     rows = draw(st.integers(1, 300))
@@ -73,6 +74,46 @@ def test_layouts_agree(case):
     assert by_words.dtype == np.int32
     assert np.array_equal(by_words, ms._scan_columns(np.ascontiguousarray(mat.T), r))
     assert np.array_equal(by_words, ms.exact_values_batch(mat, r))
+
+
+@st.composite
+def blocked_scan_case(draw):
+    """±1 rows for the blocked word scan: n = 2..80 (and 1000 or 4097 at r = 2), r = 2..5
+    with at most 1,000 tuples, 1..40 rows, at times an all +1 or an all -1 row among
+    them, and a block cap: 16 words splits blocks inside a 16-shift phase group, 64
+    words at whole-word boundaries, 2^15 words at the cap."""
+    n = draw(st.sampled_from([*range(2, 81), 1000, 4097]))
+    top = max(r for r in range(2, min(5, n) + 1) if r == 2 or math.comb(n - 1, r - 1) <= 1000)
+    count = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mat = (1 - 2 * rng.integers(0, 2, size=(count, n))).astype(np.int8)
+    for value in (1, -1):
+        row = draw(st.integers(0, 2 * count))
+        if row < count:
+            mat[row] = value
+    return mat, draw(st.integers(2, top)), draw(st.sampled_from([16, 64, 1 << 15]))
+
+
+@PROPERTY
+@given(blocked_scan_case())
+def test_blocked_word_scan_equals_columns_and_naive(case):
+    """Every block of u_2 shifts gives the column scan's values (`_best_tuple`'s past
+    n = 80), a constant row gives n - r + 1, and two rows match the oracle for n <= 20."""
+    mat, r, block_words = case
+    n = mat.shape[1]
+    rows = sc._packed(mat)
+    with mock.patch.object(ms, "_BLOCK_WORDS", block_words):
+        got = ms._scan_words(rows, n, r)
+    if n <= 80:
+        want = ms._scan_columns(np.ascontiguousarray(mat.T), r).tolist()
+    else:
+        want = [ms._best_tuple(row, n, range(n - 1), 1)[0] for row in rows]
+    assert got.tolist() == want
+    constant = (mat == mat[:, :1]).all(axis=1)
+    assert (got[constant] == n - r + 1).all()
+    if n <= 20:
+        for row, value in zip(mat[:2], got):
+            assert value == orc.naive_correlation_measure(sc.BinarySequence.from_array(row), r)
 
 
 @PROPERTY
@@ -96,12 +137,14 @@ def test_phase_words_are_shifted_packed_rows(n, seed, fold):
 @st.composite
 def packed_rows_and_order(draw):
     """Byte rows of n = 2..20 bits plus 0..2 spare bytes, with arbitrary bits from
-    n on, and 1..8 n + 8 of them (both sides of the rows = 8 n layout rule), whose
-    first n bits take at most six distinct values, so the oracle runs six times."""
+    n on, and up to 8 more of them than the layout edge max(2048 (r - 1), 16 n) of
+    `_packed_values` (both sides of it), whose first n bits take at most six
+    distinct values, so the oracle runs six times."""
     n = draw(st.integers(2, 20))
     r = draw(st.integers(2, min(4, n)))
     payloads = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
-    count = draw(st.one_of(st.integers(1, 8 * n + 8), st.sampled_from([8 * n - 1, 8 * n])))
+    edge = max(2048 * (r - 1), 16 * n)
+    count = draw(st.one_of(st.integers(1, edge + 8), st.sampled_from([edge - 1, edge])))
     width = -(-n // 8) + draw(st.integers(0, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     pick = rng.integers(0, len(payloads), size=count)

@@ -1,0 +1,105 @@
+"""Mutation check for the fast kernels: every mutant must fail one of its tests.
+
+    python tools/mutants.py            # run every mutant (about 20 s on a 2-core VM)
+    python tools/mutants.py NAME ...   # run the named mutants only
+
+A mutant is a file under src/corrlab, an old text that occurs there exactly
+once, the new text that replaces it, and the ids of the tests that must catch
+the change. For each mutant the source package is copied to a temporary
+directory, the old text is replaced in the copy, and its tests run with
+`pytest -x -q` against the copy, which goes first on PYTHONPATH. A mutant is
+killed when its tests fail, survives when they pass, and is stale when its
+old text no longer occurs exactly once in the current source (the code it
+mutated moved or changed). The exit status is 1 unless every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "corrlab"
+
+BLOCKED = "tests/test_properties.py::test_blocked_word_scan_equals_columns_and_naive"
+PHASES = "tests/test_properties.py::test_phase_words_are_shifted_packed_rows"
+FIRST_N_BITS = "tests/test_properties.py::test_packed_values_read_the_first_n_bits"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("block-rows-share-first-length", "measures.py",
+           "np.repeat(n - np.arange(first, last), count)",
+           "np.repeat(n - np.full(last - first, first), count)", (BLOCKED,)),
+    Mutant("phases-without-spare-word", "measures.py",
+           "_pack_phases(rows, n, n // 16 + 1)", "_pack_phases(rows, n, -(-n // 16))",
+           (BLOCKED,)),
+    Mutant("u2-runs-to-last-offset", "measures.py",
+           "upper[0] if upper else n", "upper[-1] if upper else n", (BLOCKED,)),
+    Mutant("r2-block-crosses-word-boundary", "measures.py",
+           "n + 17 - 16 * words", "n + 33 - 16 * words", (BLOCKED,)),
+    Mutant("phase-shift-off-by-one", "measures.py",
+           "packed[p] = pairs >> p", "packed[p] = pairs >> (p + 1)", (PHASES, FIRST_N_BITS)),
+    Mutant("phase-high-word-dropped", "measures.py",
+           "pairs = w[:, :-1] | w[:, 1:] << 16", "pairs = w[:, :-1]", (PHASES, FIRST_N_BITS)),
+    Mutant("column-branch-reads-pad-bits", "measures.py",
+           "_symbols(rows, n).T", "_symbols(rows, rows.shape[1] * 8).T", (FIRST_N_BITS,)),
+)
+
+
+def is_stale(mutant: Mutant) -> bool:
+    return (PACKAGE / mutant.file).read_text().count(mutant.old) != 1
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', 'stale' or 'error' (pytest could not run the tests)."""
+    if is_stale(mutant):
+        return "stale"
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "corrlab"
+        shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / mutant.file
+        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [tmp, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        where = subprocess.run([sys.executable, "-c", "import corrlab; print(corrlab.__file__)"],
+                               env=env, cwd=tmp, capture_output=True, text=True, check=True)
+        if not where.stdout.startswith(str(copy)):
+            raise RuntimeError(f"the tests would import {where.stdout.strip()}, not the mutant")
+        # the run's cwd is the temporary directory, so hypothesis keeps no example from it
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               "--rootdir", str(ROOT), *(str(ROOT / t) for t in mutant.tests)],
+                              env=env, cwd=tmp, capture_output=True, text=True)
+    if done.returncode not in (0, 1):  # pytest's codes for "all passed" and "some failed"
+        print(done.stdout[-2000:], done.stderr[-2000:], sep="\n", file=sys.stderr)
+        return "error"
+    return "survived" if done.returncode == 0 else "killed"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    outcomes = {m.name: run(m) for m in chosen}
+    for name, outcome in outcomes.items():
+        print(f"{outcome:8s} {name}")
+    return 0 if all(o == "killed" for o in outcomes.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
