@@ -148,7 +148,7 @@ def _cells(cfg: ExperimentConfig, orders, notes: list[str], **rule):
             if bits is None:
                 bits = _random_bits(n, cfg.master_seed,
                                     range(ci * cfg.samples, (ci + 1) * cfg.samples))
-            yield ci, n, r, measures._packed_values(bits, n, r)
+            yield ci, n, r, measures._scan_words(bits, n, r)
 
 
 def _row(cfg: ExperimentConfig, n: int, r: int, statistic: str, value: float,
@@ -324,7 +324,7 @@ def check_extension_difference(cfg: ExperimentConfig, workers: int = 1) -> Exper
             raise ValueError(f"exact C_{r} infeasible or undefined at n={n}")
     rows: list[StatRow] = []
     bits = _random_bits(grid[-1], cfg.master_seed, range(cfg.samples))
-    per_n = [measures._packed_values(bits, n, r) for n in grid]  # each prefix: the first n bits
+    per_n = [measures._scan_words(bits, n, r) for n in grid]  # each prefix: the first n bits
     for k, (n_lo, n_hi) in enumerate(zip(grid, grid[1:])):
         diff = per_n[k + 1] - per_n[k]
         bound = math.sqrt(10.0 * (n_hi - n_lo) * log_binomial(n_hi, r - 1))

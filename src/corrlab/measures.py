@@ -448,7 +448,13 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     one slice `phases[p0:p1, :, q:]`. So each block of u_2 values (at most
     `_BLOCK_WORDS` words) XORs the upper offsets' product with a slice per 16 of
     them, and one `_word_ranges` call reads it, at r = 2 with a length per row.
-    Products read a word past their whole ones: the phases hold a spare word."""
+    Products read a word past their whole ones: the phases hold a spare word.
+    Exhaustive certificates call `_scan_columns` on their ±1 columns instead."""
+    _check_order(n, r)
+    if math.comb(n - 1, r - 1) > 10 ** 8:
+        raise ResourceLimitError(
+            f"batch kernel would enumerate {math.comb(n - 1, r - 1):.2e} tuples; "
+            "use correlation_measure_sampled per sequence instead")
     phases, count = _pack_phases(rows, n, n // 16 + 1), rows.shape[0]
     if not count:  # no rows: no blocks to size
         return np.zeros(0, dtype=np.int32)
@@ -502,44 +508,15 @@ def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
     return best.astype(np.int32)
 
 
-def _packed_values(rows: np.ndarray, n: int, r: int) -> np.ndarray:
-    """C_r of the first n bits of every packed byte row, as int32.
-
-    Two layouts give the same values. At least max(2048 (r - 1), 16 n) rows are
-    unpacked to ±1 and scanned column by column on their (n, rows) transpose
-    (`_scan_columns`); fewer go to `_scan_words`. Column time over word time
-    (2-core VM, min of 5-7 runs; r = 3 at n >= 256 on the tuples of 16 u_3):
-        n, r      256    512   1024   2048   4096   8192  16384 rows
-        16, 2    3.08   3.14   2.21   0.77   0.58   0.43   0.42
-        16, 3    4.05   3.95   3.18   2.25   1.42   0.92   0.65
-        64, 2    4.29   2.88   1.41   0.76   0.45   0.27   0.21
-        64, 3    6.89   4.16   2.08   1.26   0.73   0.44   0.32
-        256, 2   8.94   5.20   2.71   1.48   0.87   0.53   0.38
-        256, 3   9.44   5.47   2.87   1.56   0.89   0.55   0.40
-        1024, 2 18.36  10.55   5.80   3.22   1.75   1.12   0.90
-        1024, 3 21.73  11.80   6.43   3.45   1.97   1.29   0.87
-    The rule's layout is within 1.1x of the faster one but at 16, 3, 4096 rows
-    (1.42x, 1.5 against 1.0 ms), whose edge cannot rise without failing 64, 3.
-    Exhaustive certificates call `_scan_columns` on their ±1 columns directly."""
-    _check_order(n, r)
-    if math.comb(n - 1, r - 1) > 10 ** 8:
-        raise ResourceLimitError(
-            f"batch kernel would enumerate {math.comb(n - 1, r - 1):.2e} tuples; "
-            "use correlation_measure_sampled per sequence instead")
-    if rows.shape[0] >= max(2048 * (r - 1), 16 * n):
-        return _scan_columns(np.ascontiguousarray(_symbols(rows, n).T), r)
-    return _scan_words(rows, n, r)
-
-
 def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
-    """Exact C_r value for every row of a ±1 matrix (or list of sequences), as int32:
-    the rows are packed into bytes and `_packed_values` picks the layout.
+    """Exact C_r value for every row of a ±1 matrix (or list of sequences), as int32,
+    read by `_scan_words` from the rows packed into bytes.
 
     `workers` is accepted for interface stability; the tuples are enumerated
     serially, and the result is the same for every value.
     """
     mat = _as_matrix(seqs)
-    return _packed_values(_packed(mat), mat.shape[1], r)
+    return _scan_words(_packed(mat), mat.shape[1], r)
 
 
 def range_values_batch(mat: np.ndarray) -> np.ndarray:

@@ -293,30 +293,28 @@ def _orbit_representatives(n: int) -> np.ndarray:
     return cols
 
 
-_ALPHABETS = {"+": {"+": 1, "-": -1}, "-": {"+": 1, "-": -1},
-              "0": {"0": 1, "1": -1}, "1": {"0": 1, "1": -1}}
+_ALPHABETS = {"+": "+-", "-": "+-", "0": "01", "1": "01"}  # the +1 symbol, then the -1 symbol
 
 
 def read_sequence(text: str) -> BinarySequence:
-    """Parse one sequence from '+'/'-' or '0'/'1' text (alphabets cannot be mixed)."""
+    """Parse one sequence from '+'/'-' or '0'/'1' text (alphabets cannot be mixed).
+
+    The text, reversed and with -1 as digit 1, is the payload in binary."""
     if not text:
         raise ParseError("empty sequence text", position=1)
     alphabet = _ALPHABETS.get(text[0])
     if alphabet is None:
         raise ParseError(f"invalid symbol {text[0]!r} at position 1", position=1)
-    bits = 0
-    for j, ch in enumerate(text):
-        sym = alphabet.get(ch)
-        if sym is None:
-            raise ParseError(f"invalid symbol {ch!r} at position {j + 1}", position=j + 1)
-        if sym == -1:
-            bits |= 1 << j
-    return BinarySequence(len(text), bits)
+    rest = text.lstrip(alphabet)
+    if rest:
+        j = len(text) - len(rest)
+        raise ParseError(f"invalid symbol {rest[0]!r} at position {j + 1}", position=j + 1)
+    return BinarySequence(len(text), int(text[::-1].translate(str.maketrans(alphabet, "01")), 2))
 
 
 def write_sequence(seq: BinarySequence) -> str:
-    """Render in the '+'/'-' alphabet ('+' is +1)."""
-    return "".join("-" if (seq.bits >> j) & 1 else "+" for j in range(seq.length))
+    """Render in the '+'/'-' alphabet ('+' is +1): `read_sequence` inverted."""
+    return format(seq.bits, f"0{seq.length}b")[::-1].translate(str.maketrans("01", "+-"))
 
 
 def read_sequence_lines(text: str) -> list[BinarySequence]:

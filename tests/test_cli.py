@@ -326,6 +326,10 @@ PINNED_FILE = "+-++-+---++-+-+++--+\n++--+-+-+++---+-\n"
                   "--seed", "0"],  # the README's wide-row trend run
                  0, "56b71ec2d072341791ca44c4f9c072d5fa472aea5b29a9b2067bba3919dd3bc4",
                  id="trend-wide-rows"),
+    pytest.param(["trend", "--n-grid", "16,64", "--samples", "4096", "--order", "2",
+                  "--seed", "0"],  # tall cells: 4096 rows at small n
+                 0, "c2697bccf7348066a2c5b220c0ea772bfe77ddac6fcd71d1ecb8ab72f21ae8fd",
+                 id="trend-tall-rows"),
     pytest.param(["expect", "--n-grid", "24,48", "--order", "3", "--samples", "10",
                   "--seed", "8", "--format", "json"],
                  0, "a3451d62c9fa72712f6f8b8f22873a8ad33e91987261b9f3a50c4e60ccfdab87",

@@ -309,9 +309,8 @@ class TestReports:
     # skipped at one n, a repeated n (two grid points, two sample streams),
     # both band skip reasons, the r = n concentration cell, eps = 0,
     # a dyadic hit and skip, equal extension lengths, extension prefixes that
-    # end inside a byte, cells of 200 rows at n = 13 and 20 (the word layout since
-    # the layout edge moved to max(2048 (r - 1), 16 n) rows; the column layout
-    # before), and cells of 4096 rows at r = 2 and 3 (the column layout).
+    # end inside a byte, and tall cells: 200 rows at n = 13 and 20, and 4096 rows
+    # at r = 2 and 3.
     PINNED = [
         ("estimate_expected_ratio", dict(n_grid=(64,), r=2, samples=6, master_seed=3),
          "11f59d92204e475f16e7971946f85dcac6a2e9fce79978f3960542f5d68ef7e8",

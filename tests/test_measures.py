@@ -462,19 +462,6 @@ class TestBatchKernels:
                 assert np.array_equal(by_words, want)
                 assert np.array_equal(by_columns, want)
 
-    # the edge max(2048 (r - 1), 16 n): its r term at n = 16, its n term at n = 256
-    @pytest.mark.parametrize("rows,n,r,layout", [
-        (2047, 16, 2, "_scan_words"), (2048, 16, 2, "_scan_columns"),
-        (4095, 16, 3, "_scan_words"), (4096, 16, 3, "_scan_columns"),
-        (4095, 256, 2, "_scan_words"), (4096, 256, 2, "_scan_columns")])
-    def test_layout_threshold(self, monkeypatch, rows, n, r, layout):
-        called = []
-        original = getattr(ms, layout)
-        monkeypatch.setattr(ms, layout, lambda *a: called.append(layout) or original(*a))
-        mat = (1 - 2 * np.random.default_rng(79).integers(0, 2, size=(rows, n))).astype(np.int8)
-        ms.exact_values_batch(mat, r)
-        assert called == [layout]
-
     def test_long_walk_uses_wide_prefix_sums(self):
         # 40,000 steps of +1 end at 40,000, which an int16 prefix sum would wrap
         assert ms.range_of_walk(sc.all_ones(40000)) == 40000

@@ -137,9 +137,9 @@ def test_phase_words_are_shifted_packed_rows(n, seed, fold):
 @st.composite
 def packed_rows_and_order(draw):
     """Byte rows of n = 2..20 bits plus 0..2 spare bytes, with arbitrary bits from
-    n on, and up to 8 more of them than the layout edge max(2048 (r - 1), 16 n) of
-    `_packed_values` (both sides of it), whose first n bits take at most six
-    distinct values, so the oracle runs six times."""
+    n on, and up to max(2048 (r - 1), 16 n) + 8 of them (tall batches at small
+    n), whose first n bits take at most six distinct values, so the oracle runs
+    six times."""
     n = draw(st.integers(2, 20))
     r = draw(st.integers(2, min(4, n)))
     payloads = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
@@ -157,10 +157,10 @@ def packed_rows_and_order(draw):
 
 @PROPERTY
 @given(packed_rows_and_order())
-def test_packed_values_read_the_first_n_bits(case):
+def test_word_scan_reads_the_first_n_bits(case):
     rows, n, r, seqs = case
     naive = {s.bits: orc.naive_correlation_measure(s, r) for s in set(seqs)}
-    got = ms._packed_values(rows, n, r)
+    got = ms._scan_words(rows, n, r)
     assert got.dtype == np.int32
     assert got.tolist() == [naive[s.bits] for s in seqs]
 

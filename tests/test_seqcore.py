@@ -223,6 +223,20 @@ class TestTextIO:
             seq = sc.random_sequence(n, sc.SeedSpec(int(rng.integers(0, 2 ** 63)), 0))
             assert sc.read_sequence(sc.write_sequence(seq)) == seq
 
+    def test_round_trip_long(self):
+        # an odd length past 10^5, ending in +1 symbols (zero high bits), both alphabets
+        n = 131071
+        seq = sc.BinarySequence(n, sc.random_sequence(n - 3, sc.SeedSpec(23, 0)).bits)
+        text = sc.write_sequence(seq)
+        assert len(text) == n and text.endswith("+++")
+        assert np.array_equal(np.frombuffer(text.encode(), dtype=np.uint8) == ord("-"),
+                              seq.to_array() < 0)
+        assert sc.read_sequence(text) == seq
+        assert sc.read_sequence(text.translate(str.maketrans("+-", "01"))) == seq
+        with pytest.raises(ParseError, match=f"invalid symbol '0' at position {n + 1}") as err:
+            sc.read_sequence(text + "0")
+        assert err.value.position == n + 1
+
     def test_file_lines(self):
         text = "+-+\n\n0110\n"
         seqs = sc.read_sequence_lines(text)

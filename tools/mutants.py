@@ -1,6 +1,6 @@
 """Mutation check for the fast kernels: every mutant must fail one of its tests.
 
-    python tools/mutants.py            # run every mutant (about 20 s on a 2-core VM)
+    python tools/mutants.py            # run every mutant (about 23 s on a 2-core VM)
     python tools/mutants.py NAME ...   # run the named mutants only
 
 A mutant is a file under src/corrlab, an old text that occurs there exactly
@@ -28,7 +28,7 @@ PACKAGE = ROOT / "src" / "corrlab"
 
 BLOCKED = "tests/test_properties.py::test_blocked_word_scan_equals_columns_and_naive"
 PHASES = "tests/test_properties.py::test_phase_words_are_shifted_packed_rows"
-FIRST_N_BITS = "tests/test_properties.py::test_packed_values_read_the_first_n_bits"
+FIRST_N_BITS = "tests/test_properties.py::test_word_scan_reads_the_first_n_bits"
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,14 @@ MUTANTS = (
            "packed[p] = pairs >> p", "packed[p] = pairs >> (p + 1)", (PHASES, FIRST_N_BITS)),
     Mutant("phase-high-word-dropped", "measures.py",
            "pairs = w[:, :-1] | w[:, 1:] << 16", "pairs = w[:, :-1]", (PHASES, FIRST_N_BITS)),
-    Mutant("column-branch-reads-pad-bits", "measures.py",
-           "_symbols(rows, n).T", "_symbols(rows, rows.shape[1] * 8).T", (FIRST_N_BITS,)),
+    Mutant("column-scan-drops-last-step", "measures.py",
+           "range(n - offsets[-1])", "range(n - offsets[-1] - 1)",
+           ("tests/test_properties.py::test_layouts_agree",)),
+    Mutant("unrank-searches-left", "measures.py", 'side="right"', 'side="left"',
+           ("tests/test_measures.py::TestColexEnumeration::test_vector_unrank_full_spaces",)),
+    Mutant("window-starts-one-early", "measures.py",
+           "(min(hi, lo) + 1, ", "(min(hi, lo), ",
+           ("tests/test_measures.py::TestCorrelationMeasureExact::test_witness_replay_random",)),
 )
 
 
