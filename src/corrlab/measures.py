@@ -221,18 +221,19 @@ def _best_tuple(row: np.ndarray, n: int, ranks: Sequence[int],
     `_word_tables` as in `_word_ranges`. The first maximizer in stream order
     wins: argmax inside a block, strict > across blocks."""
     width = -(-n // 16)
-    flat = _pack_phases(row[None, :], n, 2 * width).ravel()  # fits a shift plus `width` words
+    # in bit-offset order: entry t is the row's 16 bits from bit t, so word w of shift u is u + 16 w
+    flat = _pack_phases(row[None, :], n, 2 * width)[:, 0].T.ravel()
     step_sum, _, _, top_less_sum, bottom_less_sum = _word_tables()
     block = max(1, _BLOCK_WORDS // width)
     best, best_offsets = -1, None
     for start in range(0, len(ranks), block):
         offsets = _unrank(ranks[start:start + block], k, n)
         lengths = n - offsets[:, -1:]
-        lanes = np.arange(-(-int(lengths.max()) // 16))
+        lanes = 16 * np.arange(-(-int(lengths.max()) // 16))
         prod = flat[lanes]  # u_1 = 0
         for u in offsets.T:
-            prod = prod ^ flat.take(((u & 15) * 2 * width + (u >> 4))[:, None] + lanes)
-        keep = ((1 << np.clip(lengths - 16 * lanes, 0, 16)) - 1).astype(np.uint16)
+            prod = prod ^ flat.take(u[:, None] + lanes)
+        keep = ((1 << np.clip(lengths - lanes, 0, 16)) - 1).astype(np.uint16)
         hi_words, lo_words = prod | ~keep, prod & keep
         hi = step_sum.take(hi_words).cumsum(axis=1, dtype=np.int32) + top_less_sum.take(hi_words)
         lo = step_sum.take(lo_words).cumsum(axis=1, dtype=np.int32) + bottom_less_sum.take(lo_words)
@@ -484,18 +485,18 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
 
 
 def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
-    """C_r of every column of an (n, rows) matrix, as int32.
+    """C_r of every column of an (n, rows) ±1 int8 matrix, as int32.
 
     Per tuple, one pass over the n - u_r positions multiplies r rows of `cols`
     into one step vector and updates running sum, max and min vectors in
-    place, so every operation spans all sequences. The running sums are int16
-    while that type holds ±n (n < 32,000), int32 beyond."""
+    place, so every operation spans all sequences. Every buffer is int8: a
+    walk of at most 127 steps (n <= 128) stays within ±127, and the one
+    caller, the exhaustive certificates, stops at n = 24 (`EXHAUSTIVE_LIMIT`)."""
     n, rows = cols.shape
-    dtype = np.int16 if n < 32000 else np.int32
-    best = np.zeros(rows, dtype=dtype)
+    best = np.zeros(rows, dtype=np.int8)
     step = np.empty(rows, dtype=np.int8)
     for offsets in colex_offsets(n, r - 1):
-        walk, hi, lo = np.zeros((3, rows), dtype=dtype)
+        walk, hi, lo = np.zeros((3, rows), dtype=np.int8)
         for j in range(n - offsets[-1]):
             np.multiply(cols[j], cols[j + offsets[0]], out=step)
             for u in offsets[1:]:

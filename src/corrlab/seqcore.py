@@ -64,15 +64,13 @@ class BinarySequence:
 
     @classmethod
     def from_symbols(cls, symbols: Iterable[int]) -> "BinarySequence":
-        bits = 0
-        n = 0
+        row = bytearray()  # the symbols as int8 bytes, packed once at the end
         for j, s in enumerate(symbols):
-            if s == -1:
-                bits |= 1 << j
-            elif s != 1:
+            if s != -1 and s != 1:
                 raise ValueError(f"symbol at position {j + 1} is {s!r}, expected -1 or +1")
-            n += 1
-        return cls(n, bits)
+            row.append(0xFF if s == -1 else 1)
+        packed = _packed(np.frombuffer(row, dtype=np.int8))
+        return cls(len(row), int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BinarySequence":

@@ -123,6 +123,15 @@ class TestBounds:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+    @pytest.mark.slow
+    def test_readme_exhaustive_n24_stdout_pinned(self, capsys):
+        # the README's longest certificate: every orbit representative at the limit n = 24
+        code, out, _ = run_cli(capsys, "bounds", "--check", "theoremC", "--n", "24",
+                               "--r", "2", "--exhaustive")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b47dc53f7d35bd7617c717f8c0e09b595448aa95c9ef4527b5b0b6b62bbcf74f")
+
 
 class TestOracle:
     def test_even_entries(self, capsys):

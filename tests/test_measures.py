@@ -450,6 +450,17 @@ class TestBatchKernels:
             for r in range(2, min(4, n) + 1):
                 assert np.array_equal(ms.exact_values_batch(mat, r), orc.naive_values_all(n, r))
 
+    def test_int8_column_walk_at_127(self):
+        # the column scan holds its walk in int8, which must fit every exhaustive length
+        assert sc.EXHAUSTIVE_LIMIT < 128
+        n = 127
+        mat = np.stack([np.ones(n, dtype=np.int8), -np.ones(n, dtype=np.int8),
+                        1 - 2 * np.random.default_rng(71).integers(0, 2, n).astype(np.int8)])
+        by_columns = ms._scan_columns(np.ascontiguousarray(mat.T), 2)
+        assert by_columns.dtype == np.int32
+        assert np.array_equal(by_columns, ms._scan_words(sc._packed(mat), n, 2))
+        assert by_columns[:2].tolist() == [n - 1, n - 1]
+
     def test_layouts_match_naive_values_all(self):
         # every order, odd ones and r = n (one tuple, products of length 1) included
         for n in range(2, 11):

@@ -18,6 +18,19 @@ class TestBinarySequence:
         assert seq.symbols() == (1, -1, -1, 1, 1)
         assert len(seq) == 5
 
+    def test_from_symbols_long(self):
+        # an odd length past 10^5 from a generator, and a bad symbol near the end
+        n = 100_001
+        arr = 1 - 2 * np.random.default_rng(5).integers(0, 2, size=n)
+        seq = sc.BinarySequence.from_symbols(int(s) for s in arr)
+        assert seq == sc.BinarySequence.from_array(arr)
+        assert np.array_equal(seq.to_array(), arr)
+        symbols = [*arr.tolist()[:-2], 2, 1]
+        with pytest.raises(ValueError, match=f"symbol at position {n - 1} is 2, expected"):
+            sc.BinarySequence.from_symbols(symbols)
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            sc.BinarySequence.from_symbols(iter(()))
+
     def test_from_array_round_trip(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

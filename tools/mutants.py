@@ -1,6 +1,6 @@
 """Mutation check for the fast kernels: every mutant must fail one of its tests.
 
-    python tools/mutants.py            # run every mutant (about 23 s on a 2-core VM)
+    python tools/mutants.py            # run every mutant (about 70 s on a loaded 2-core VM)
     python tools/mutants.py NAME ...   # run the named mutants only
 
 A mutant is a file under src/corrlab, an old text that occurs there exactly
@@ -29,6 +29,10 @@ PACKAGE = ROOT / "src" / "corrlab"
 BLOCKED = "tests/test_properties.py::test_blocked_word_scan_equals_columns_and_naive"
 PHASES = "tests/test_properties.py::test_phase_words_are_shifted_packed_rows"
 FIRST_N_BITS = "tests/test_properties.py::test_word_scan_reads_the_first_n_bits"
+LAYOUTS = "tests/test_properties.py::test_layouts_agree"
+BEST_TUPLE = "tests/test_properties.py::test_best_tuple_is_first_maximizer"
+SAMPLER = "tests/test_seqcore.py::TestPackedSampler"
+RANK_DRAWS = "tests/test_measures.py::TestRankDraws::test_bulk_draw_equals_randrange_loop"
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,21 @@ MUTANTS = (
     Mutant("phase-high-word-dropped", "measures.py",
            "pairs = w[:, :-1] | w[:, 1:] << 16", "pairs = w[:, :-1]", (PHASES, FIRST_N_BITS)),
     Mutant("column-scan-drops-last-step", "measures.py",
-           "range(n - offsets[-1])", "range(n - offsets[-1] - 1)",
-           ("tests/test_properties.py::test_layouts_agree",)),
+           "range(n - offsets[-1])", "range(n - offsets[-1] - 1)", (LAYOUTS,)),
+    Mutant("column-walk-misses-falls", "measures.py",
+           "np.minimum(lo, walk, out=lo)", "np.minimum(lo, 0, out=lo)", (LAYOUTS,)),
+    Mutant("best-tuple-lane-off-by-one", "measures.py",
+           "flat.take(u[:, None] + lanes)", "flat.take(u[:, None] + lanes + 1)", (BEST_TUPLE,)),
+    Mutant("seed-hash-wrong-multiplier", "seqcore.py", "0x931E8875", "0x931E8876",
+           (f"{SAMPLER}::test_keys_are_seed_sequence_states",)),
+    Mutant("draw-reads-low-bit", "seqcore.py",
+           "block.view(np.uint8) >> 7", "block.view(np.uint8) & 1",
+           (f"{SAMPLER}::test_rows_are_numpy_generator_draws",)),
+    Mutant("distinct-ranks-not-deduplicated", "measures.py",
+           "ranks = ranks[np.sort(np.unique(ranks, return_index=True)[1])]", "ranks = ranks",
+           (RANK_DRAWS,)),
+    Mutant("rank-last-word-shift-off-by-one", "measures.py",
+           "32 * per - b", "32 * per - b + 1", (RANK_DRAWS,)),
     Mutant("unrank-searches-left", "measures.py", 'side="right"', 'side="left"',
            ("tests/test_measures.py::TestColexEnumeration::test_vector_unrank_full_spaces",)),
     Mutant("window-starts-one-early", "measures.py",
