@@ -335,6 +335,10 @@ PINNED_FILE = "+-++-+---++-+-+++--+\n++--+-+-+++---+-\n"
                   "--seed", "0"],  # the README's wide-row trend run
                  0, "56b71ec2d072341791ca44c4f9c072d5fa472aea5b29a9b2067bba3919dd3bc4",
                  id="trend-wide-rows"),
+    pytest.param(["trend", "--n-grid", "300,1000", "--order", "2", "--samples", "40",
+                  "--seed", "0"],  # long products whose lengths are not whole 32-bit groups
+                 0, "8407b218b6f25850990ab4e1825642e16fede5abcefb0078434785f6ba66eac9",
+                 id="trend-long-products"),
     pytest.param(["trend", "--n-grid", "16,64", "--samples", "4096", "--order", "2",
                   "--seed", "0"],  # tall cells: 4096 rows at small n
                  0, "c2697bccf7348066a2c5b220c0ea772bfe77ddac6fcd71d1ecb8ab72f21ae8fd",

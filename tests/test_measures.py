@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -478,6 +479,19 @@ class TestBatchKernels:
         assert ms.range_of_walk(sc.all_ones(40000)) == 40000
         assert list(ms.range_values_batch(np.ones((2, 40000), dtype=np.int8))) == [40000] * 2
         assert list(ms.exact_values_batch(np.ones((1, 40000), dtype=np.int8), 2)) == [39999]
+
+    def test_bound_skips_most_pairs_of_the_bench_trend_cell(self):
+        # 40 random rows of n = 2048 at r = 2, the shape of the benchmark's trend call: of
+        # the pairs whose products hold `_BOUND_WORDS` words or more (u_2 <= 2048 - 16
+        # (_BOUND_WORDS - 1)), the popcount bound sends fewer than one in ten to `_word_ranges`
+        rows = np.random.default_rng(73).integers(0, 256, size=(40, 256), dtype=np.uint8)
+        with mock.patch.object(ms, "_word_ranges", wraps=ms._word_ranges) as read:
+            got = ms._scan_words(rows, 2048, 2)
+        bounded = [call.args[0].shape[0] for call in read.call_args_list
+                   if call.args[0].shape[1] >= ms._BOUND_WORDS]
+        assert bounded and sum(bounded) < 0.1 * 40 * (2048 - 16 * (ms._BOUND_WORDS - 1))
+        with mock.patch.object(ms, "_BOUND_WORDS", 2048):  # more words than any product holds
+            assert np.array_equal(got, ms._scan_words(rows, 2048, 2))
 
     def test_sampled_never_exceeds_exact_batch(self):
         rng = np.random.default_rng(71)

@@ -5,8 +5,11 @@ to n = 80, r = 5 and 1,000 tuples, and the blocked word scan also at n = 1000
 and 4097, r = 2, against the single-sequence word reduction, which goes up to
 n = 80, r = 5 and 40 tuples, the walk ranges up to n = 80, the phase words
 up to n = 70 plus 1000 and 4097, and packed rows with arbitrary bits past
-n up to n = 20, r = 4) and the search is derandomized, so the module runs
-in a few seconds and every run draws the same examples.
+n up to n = 20, r = 4; the popcount bound on every product is tied to the
+unfiltered read at n = 2..80, r = 2..5, and at n = 1000 and 4097, r = 2, with
+1..4 rows, 0..2 spare bytes and random bits past n, to the column scan up to
+n = 80 and to the oracle up to n = 20) and the search is derandomized, so the
+module runs in well under a minute and every run draws the same examples.
 """
 
 import math
@@ -77,14 +80,15 @@ def test_layouts_agree(case):
 
 
 @st.composite
-def blocked_scan_case(draw):
-    """±1 rows for the blocked word scan: n = 2..80 (and 1000 or 4097 at r = 2), r = 2..5
-    with at most 1,000 tuples, 1..40 rows, at times an all +1 or an all -1 row among
-    them, and a block cap: 16 words splits blocks inside a 16-shift phase group, 64
-    words at whole-word boundaries, 2^15 words at the cap."""
-    n = draw(st.sampled_from([*range(2, 81), 1000, 4097]))
+def blocked_scan_case(draw, lengths=(*range(2, 81), 1000, 4097), long_rows=40):
+    """±1 rows for the blocked word scan: n from `lengths` (2..80, and 1000 or 4097 at
+    r = 2), r = 2..5 with at most 1,000 tuples, 1..40 rows (1..`long_rows` past n = 80),
+    at times an all +1 or an all -1 row among them, and a block cap: 16 words splits
+    blocks inside a 16-shift phase group, 64 words at whole-word boundaries, 2^15 words
+    at the cap."""
+    n = draw(st.sampled_from(lengths))
     top = max(r for r in range(2, min(5, n) + 1) if r == 2 or math.comb(n - 1, r - 1) <= 1000)
-    count = draw(st.integers(1, 40))
+    count = draw(st.integers(1, 40 if n <= 80 else long_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mat = (1 - 2 * rng.integers(0, 2, size=(count, n))).astype(np.int8)
     for value in (1, -1):
@@ -109,6 +113,43 @@ def test_blocked_word_scan_equals_columns_and_naive(case):
     else:
         want = [ms._best_tuple(row, n, range(n - 1), 1)[0] for row in rows]
     assert got.tolist() == want
+    constant = (mat == mat[:, :1]).all(axis=1)
+    assert (got[constant] == n - r + 1).all()
+    if n <= 20:
+        for row, value in zip(mat[:2], got):
+            assert value == orc.naive_correlation_measure(sc.BinarySequence.from_array(row), r)
+
+
+@st.composite
+def bound_scan_case(draw):
+    """`blocked_scan_case` with n = 1000 or 4097 (1..4 rows) drawn about one time in six,
+    packed into bytes with 0..2 spare bytes and random bits from n on. Past n = 80 a row's
+    best pair is seldom among the first block's, so most pairs meet the bound."""
+    mat, r, block_words = draw(blocked_scan_case((*range(2, 81), *(1000, 4097) * 8), 4))
+    n = mat.shape[1]
+    rows = np.pad(sc._packed(mat), ((0, 0), (0, draw(st.integers(0, 2)))))
+    past = np.packbits(np.arange(8 * rows.shape[1]) >= n, bitorder="little")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows |= rng.integers(0, 256, size=rows.shape, dtype=np.uint8) & past
+    return rows, mat, r, block_words
+
+
+@PROPERTY
+@given(bound_scan_case())
+def test_bound_scan_equals_plain_scan_columns_and_naive(case):
+    """With the popcount bound on every product, `_scan_words` gives the values of its
+    unfiltered read, of the column scan for n <= 80 and of the oracle for n <= 20."""
+    rows, mat, r, block_words = case
+    n = mat.shape[1]
+    with mock.patch.object(ms, "_BLOCK_WORDS", block_words):
+        with mock.patch.object(ms, "_BOUND_WORDS", 0):
+            got = ms._scan_words(rows, n, r)
+        with mock.patch.object(ms, "_BOUND_WORDS", n):  # more words than any product holds
+            plain = ms._scan_words(rows, n, r)
+    assert got.dtype == np.int32
+    assert got.tolist() == plain.tolist()
+    if n <= 80:
+        assert got.tolist() == ms._scan_columns(np.ascontiguousarray(mat.T), r).tolist()
     constant = (mat == mat[:, :1]).all(axis=1)
     assert (got[constant] == n - r + 1).all()
     if n <= 20:

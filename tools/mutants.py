@@ -1,6 +1,6 @@
 """Mutation check for the fast kernels: every mutant must fail one of its tests.
 
-    python tools/mutants.py            # run every mutant (about 70 s on a loaded 2-core VM)
+    python tools/mutants.py            # run every mutant (about 100 s on a loaded 2-core VM)
     python tools/mutants.py NAME ...   # run the named mutants only
 
 A mutant is a file under src/corrlab, an old text that occurs there exactly
@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "corrlab"
 
 BLOCKED = "tests/test_properties.py::test_blocked_word_scan_equals_columns_and_naive"
+BOUND = "tests/test_properties.py::test_bound_scan_equals_plain_scan_columns_and_naive"
 PHASES = "tests/test_properties.py::test_phase_words_are_shifted_packed_rows"
 FIRST_N_BITS = "tests/test_properties.py::test_word_scan_reads_the_first_n_bits"
 LAYOUTS = "tests/test_properties.py::test_layouts_agree"
@@ -55,6 +56,15 @@ MUTANTS = (
            "upper[0] if upper else n", "upper[-1] if upper else n", (BLOCKED,)),
     Mutant("r2-block-crosses-word-boundary", "measures.py",
            "n + 17 - 16 * words", "n + 33 - 16 * words", (BLOCKED,)),
+    # The bound covers the padded walk, of which the product's walk is a prefix, so it
+    # holds whatever the bits past the product's length and the pad words are: a mutant
+    # that leaves those bits set, or pads with zero words, is equivalent and left out.
+    Mutant("bound-drops-slack", "measures.py",
+           "mid.min(axis=1) + 32", "mid.min(axis=1)", (BOUND,)),
+    Mutant("bound-midpoint-is-group-step", "measures.py",
+           "walk[:, 1:] + walk[:, :-1]", "walk[:, 1:] - walk[:, :-1]", (BOUND,)),
+    Mutant("bound-group-of-30-bits", "measures.py",
+           ".view(np.int8) - 16", ".view(np.int8) - 15", (BOUND,)),
     Mutant("phase-shift-off-by-one", "measures.py",
            "packed[p] = pairs >> p", "packed[p] = pairs >> (p + 1)", (PHASES, FIRST_N_BITS)),
     Mutant("phase-high-word-dropped", "measures.py",
