@@ -24,14 +24,6 @@ from . import bounds, experiments, measures, oracles, seqcore
 from .errors import ParseError, ResourceLimitError
 
 
-def _default_seed() -> int:
-    text = os.environ.get("CORRLAB_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"CORRLAB_SEED must be an integer, got {text!r}") from None
-
-
 def _load_sequences(path: str | None) -> list[seqcore.BinarySequence]:
     if path is None:
         raise ValueError("--file is required")
@@ -218,7 +210,7 @@ def _add_common(sub, *, workers=True, seed=True, fmt=False, budget=False):
                          help="accepted for compatibility: the work runs serially "
                               "and output is identical for any count (default 1)")
     if seed:
-        sub.add_argument("--seed", type=int, default=_default_seed(),
+        sub.add_argument("--seed", type=int,  # None: not given, resolved after parsing
                          help="master seed (default: CORRLAB_SEED or 0)")
     if fmt:
         sub.add_argument("--format", choices=experiments.FORMATS, default="csv",
@@ -320,6 +312,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:  # only a subcommand with --seed reads the env
+            env_seed = os.environ.get("CORRLAB_SEED", "0")
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise ValueError(f"CORRLAB_SEED must be an integer, got {env_seed!r}") from None
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--threads must be >= 1, got {args.workers}")
         text, ok = args.func(args)

@@ -94,7 +94,7 @@ class Normalization:
 
 
 # ---------------------------------------------------------------------------
-# binomials, shift-tuple enumeration (colexicographic) and unranking
+# binomials and colexicographic unranking of shift tuples
 
 
 def binomial(n: int, k: int) -> int:
@@ -115,42 +115,6 @@ def log_binomial(n: int, k: int) -> float:
     if approx <= EXACT_LOG_DIGIT_CAP * math.log(10):
         return math.log(math.comb(n, k))
     return approx
-
-
-def colex_offsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All strictly increasing k-tuples from {1, ..., n-1} in colex order."""
-    u = list(range(1, k + 1))
-    while k >= 1 and u[-1] < n:
-        yield tuple(u)
-        i = 0
-        while i < k - 1 and u[i] + 1 == u[i + 1]:  # reset the run below the step
-            u[i] = i + 1
-            i += 1
-        u[i] += 1
-
-
-def colex_rank(offsets: Sequence[int]) -> int:
-    """Rank of a tuple within colex_offsets order (0-based)."""
-    return sum(math.comb(u - 1, i + 1) for i, u in enumerate(offsets))
-
-
-def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
-    """Inverse of colex_rank: the k offsets with the given colex rank."""
-    out = [0] * k
-    for i in range(k, 0, -1):
-        # largest c with comb(c, i) <= rank, by binary search
-        lo, hi = i - 1, i
-        while math.comb(hi, i) <= rank:
-            hi *= 2
-        while lo < hi - 1:
-            mid = (lo + hi) // 2
-            if math.comb(mid, i) <= rank:
-                lo = mid
-            else:
-                hi = mid
-        rank -= math.comb(lo, i)
-        out[i - 1] = lo + 1
-    return tuple(out)
 
 
 def _unrank(ranks: Sequence[int], k: int, n: int) -> np.ndarray:
@@ -177,6 +141,15 @@ def _unrank(ranks: Sequence[int], k: int, n: int) -> np.ndarray:
         out[:, i - 1] = i + t
         column = np.diff(column, prepend=0)
     return out
+
+
+def _colex_tuples(n: int, k: int) -> Iterator[list[int]]:
+    """Every k-tuple of offsets from 1..n-1 in colex order (one empty tuple at k = 0), as lists,
+    from `_unrank` in blocks of `_BLOCK_WORDS` ranks. A block peaks at 64 + 16 k bytes a rank,
+    and 32 more per offset above 256 (tracemalloc; 11 MB at k = 18)."""
+    total = math.comb(n - 1, k)
+    for start in range(0, total, _BLOCK_WORDS):
+        yield from _unrank(range(start, min(start + _BLOCK_WORDS, total)), k, n).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -439,33 +412,39 @@ def _packed_ranges(rows: np.ndarray, length: int) -> np.ndarray:
     return _word_ranges(rows.view("<u2"), length)
 
 
+def _range_bound(prod: np.ndarray) -> np.ndarray:
+    """Upper bound on the walk range of each row of 16-bit words padded with 0x5555 words to
+    whole 32-bit groups, as int32. Group g holding c_g set bits, the walk ends group g at
+    T_g = 32 (g + 1) - 2 (c_0 + ... + c_g); j steps into the group it is within j of
+    T_{g-1} and 32 - j of T_g, so within 16 of m_g = (T_{g-1} + T_g) / 2 = T_g + c_g - 16,
+    and its range is at most max m - min m + 32. A product's walk is a prefix of its padded
+    one, whose range is no smaller, so neither the bits past its length nor the pad need a
+    mask."""
+    half = np.bitwise_count(prod.view(np.uint32)).view(np.int8) - 16  # c_g - 16
+    walk = np.zeros((prod.shape[0], half.shape[1] + 1), dtype=np.int32)
+    np.cumsum(half, axis=1, dtype=np.int32, out=walk[:, 1:])
+    mid = walk[:, 1:] + walk[:, :-1]  # -m_g
+    return mid.max(axis=1) - mid.min(axis=1) + 32
+
+
 def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     """C_r of the first n bits of every packed byte row, as int32, on 16-bit words.
 
-    A product sequence is the XOR of r shifted rows of -1 bits, and on the
-    phases of `_pack_phases` the shift by u is the word-aligned slice
-    `phases[u & 15][:, u >> 4:]`. Tuples that share their upper offsets
-    (u_3, ..., u_r; none at r = 2) and their product's whole-word count differ
-    only in u_2 < u_3 (< n at r = 2), and u_2 = 16 q + p for p0 <= p < p1 is the
-    one slice `phases[p0:p1, :, q:]`. So each block of u_2 values (at most
-    `_BLOCK_WORDS` words) XORs the upper offsets' product with a slice per 16 of
-    them, and one `_word_ranges` call reads it, at r = 2 with a length per row.
-    Products read a word past their whole ones: the phases hold a spare word.
-    Exhaustive certificates call `_scan_columns` on their ±1 columns instead.
+    A product sequence is the XOR of r shifted rows of -1 bits, and on the phases of
+    `_pack_phases` the shift by u is the word-aligned slice `phases[u & 15][:, u >> 4:]`.
+    Tuples that share their upper offsets (u_3, ..., u_r from `_colex_tuples`; the empty
+    tuple at r = 2) and their product's whole-word count differ only in u_2 < u_3 (< n at
+    r = 2), and u_2 = 16 q + p for p0 <= p < p1 is the one slice `phases[p0:p1, :, q:]`.
+    So each block of u_2 values (at most `_BLOCK_WORDS` words) XORs the upper offsets'
+    product with a slice per 16 of them, and one `_word_ranges` call reads it, at r = 2
+    with a length per row. Products read a word past their whole ones: the phases hold a
+    spare word. Exhaustive certificates call `_scan_columns` on their ±1 columns instead.
 
-    C_r is a maximum, so a product of `_BOUND_WORDS` words or more is read only
-    if a popcount bound on its walk range beats its row's best so far, kept in
-    the first `count` entries of `best`. Padded with 0x5555 words to whole
-    32-bit groups, group g holding c_g set bits, the walk ends group g at
-    T_g = 32 (g + 1) - 2 (c_0 + ... + c_g); j steps into the group it is within
-    j of T_{g-1} and 32 - j of T_g, so within 16 of m_g = (T_{g-1} + T_g) / 2
-    = T_g + c_g - 16, and its range is at most max m - min m + 32. The product's
-    walk is a prefix of the padded one, whose range is no smaller, so neither
-    the bits past n - u_r nor the pad need a mask; a skipped pair's range is at
-    most its row's best, so no value changes. Shorter products are read whole,
-    into a slot of `best` per row and shift, reduced once at the end, since the
-    bound costs them more than it saves. Time with the bound from w words over
-    the whole read (2-core VM, min of 7; w = 9 and 13 cost 1.13-1.35 at n = 256):
+    `best` holds each row's C_r so far (a block's rows run u_2 major, row minor). A product
+    of `_BOUND_WORDS` words or more, padded to whole 32-bit groups, is read only where
+    `_range_bound` exceeds its row's best, which a skipped pair cannot raise; shorter ones
+    are read whole, since the bound costs them more than it saves. Time with the bound from
+    w words over the whole read (2-core VM, min of 7; w = 9 and 13 cost 1.13-1.35 at n = 256):
 
         rows x n : r    w = 0   w = 17         rows x n : r    w = 0   w = 17
         4096 x 16 : 3   7.51    1.01           200 x 512 : 2   0.87    0.95
@@ -478,10 +457,8 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
             f"batch kernel would enumerate {math.comb(n - 1, r - 1):.2e} tuples; "
             "use correlation_measure_sampled per sequence instead")
     phases, count = _pack_phases(rows, n, n // 16 + 1), rows.shape[0]
-    if not count:  # no rows: no blocks to size
-        return np.zeros(0, dtype=np.int32)
-    best = np.zeros(max(1, min(n - 1, _BLOCK_WORDS // count)) * count, dtype=np.int32)
-    for upper in colex_offsets(n, r - 2) if r > 2 else [()]:
+    best = np.zeros(count, dtype=np.int32)
+    for upper in _colex_tuples(n, r - 2) if count else ():  # no rows: no blocks to size
         u2, stop = 1, upper[0] if upper else n
         while u2 < stop:  # a run of u_2 whose products have one whole-word count
             words = (n - (upper or (u2,))[-1]) // 16 + 1  # (n - u_r) // 16 and the spare
@@ -504,34 +481,29 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
                          and not upper else n - (upper or (first,))[-1])  # n - u_r per row
                 prod = prod.reshape(-1, width)
                 if not bounded:
-                    out = best[:prod.shape[0]]
-                    np.maximum(out, _word_ranges(prod, steps), out=out)
+                    ranges = _word_ranges(prod, steps)
+                    np.maximum(best, ranges.reshape(-1, count).max(axis=0), out=best)
                     continue
-                half = np.bitwise_count(prod.view(np.uint32)).view(np.int8) - 16  # c_g - 16
-                walk = np.zeros((prod.shape[0], half.shape[1] + 1), dtype=np.int32)
-                np.cumsum(half, axis=1, dtype=np.int32, out=walk[:, 1:])
-                mid = walk[:, 1:] + walk[:, :-1]  # -m_g
-                bound = mid.max(axis=1) - mid.min(axis=1) + 32
-                read = np.flatnonzero(bound.reshape(-1, count) > best[:count])
+                read = np.flatnonzero(_range_bound(prod).reshape(-1, count) > best)
                 if read.size:
                     ranges = _word_ranges(prod[read], steps[read] if np.ndim(steps) else steps)
                     np.maximum.at(best, read % count, ranges)
             u2 = run
-    return best.reshape(-1, count).max(axis=0)
+    return best
 
 
 def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
     """C_r of every column of an (n, rows) ±1 int8 matrix, as int32.
 
-    Per tuple, one pass over the n - u_r positions multiplies r rows of `cols`
-    into one step vector and updates running sum, max and min vectors in
-    place, so every operation spans all sequences. Every buffer is int8: a
-    walk of at most 127 steps (n <= 128) stays within ±127, and the one
-    caller, the exhaustive certificates, stops at n = 24 (`EXHAUSTIVE_LIMIT`)."""
+    Per tuple of `_colex_tuples`, one pass over the n - u_r positions multiplies r rows of
+    `cols` into one step vector and updates running sum, max and min vectors in place, so
+    every operation spans all sequences. Every buffer is int8: a walk of at most 127 steps
+    (n <= 128) stays within ±127, and the one caller, the exhaustive certificates, stops
+    at n = 24 (`EXHAUSTIVE_LIMIT`)."""
     n, rows = cols.shape
     best = np.zeros(rows, dtype=np.int8)
     step = np.empty(rows, dtype=np.int8)
-    for offsets in colex_offsets(n, r - 1):
+    for offsets in _colex_tuples(n, r - 1):
         walk, hi, lo = np.zeros((3, rows), dtype=np.int8)
         for j in range(n - offsets[-1]):
             np.multiply(cols[j], cols[j + offsets[0]], out=step)

@@ -1,9 +1,10 @@
 """Brute-force reference implementations and exhaustive combinatorial verifiers.
 
 Everything in this module is deliberately literal: correlation measures by the
-unrewritten triple maximum, walk ranges by the double loop, expectations and
-tail probabilities by full enumeration with exact rationals. These are the
-ground truth the fast kernels and the Monte Carlo harness are tested against.
+unrewritten triple maximum, walk ranges by the double loop, shift tuples by the
+colex successor with its rank and unrank (the references for `measures._unrank`),
+and expectations and tail probabilities by full enumeration with exact rationals.
+These are the ground truth the fast kernels and the Monte Carlo harness are tested against.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -80,6 +82,42 @@ def naive_values_all(n: int, r: int) -> np.ndarray:
         partial = np.cumsum(prod, axis=1, dtype=np.int32)
         np.maximum(best, np.abs(partial).max(axis=1), out=best)
     return best
+
+
+def colex_offsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All strictly increasing k-tuples from {1, ..., n-1} in colex order."""
+    u = list(range(1, k + 1))
+    while k >= 1 and u[-1] < n:
+        yield tuple(u)
+        i = 0
+        while i < k - 1 and u[i] + 1 == u[i + 1]:  # reset the run below the step
+            u[i] = i + 1
+            i += 1
+        u[i] += 1
+
+
+def colex_rank(offsets: Sequence[int]) -> int:
+    """Rank of a tuple within colex_offsets order (0-based)."""
+    return sum(math.comb(u - 1, i + 1) for i, u in enumerate(offsets))
+
+
+def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
+    """Inverse of colex_rank: the k offsets with the given colex rank."""
+    out = [0] * k
+    for i in range(k, 0, -1):
+        # largest c with comb(c, i) <= rank, by binary search
+        lo, hi = i - 1, i
+        while math.comb(hi, i) <= rank:
+            hi *= 2
+        while lo < hi - 1:
+            mid = (lo + hi) // 2
+            if math.comb(mid, i) <= rank:
+                lo = mid
+            else:
+                hi = mid
+        rank -= math.comb(lo, i)
+        out[i - 1] = lo + 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,29 @@ class TestCliContract:
         assert code == 0
         assert '"master_seed": 777' in out
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--check", "expect", "--n", "4", "--order", "2"],
+        ["scan", "--file", "SEQS", "--orders", "2..3"],
+        ["report", "--input", "REPORT", "--to", "csv"],
+        ["report", "--help"],
+        ["--help"],
+        ["trend", "--n-grid", "32", "--samples", "2", "--seed", "5"],
+    ], ids=["oracle", "scan", "report", "report-help", "help", "trend-seed-given"])
+    def test_bad_env_seed_is_read_only_for_a_seed_not_given(self, capsys, monkeypatch,
+                                                             tmp_path, argv):
+        """CORRLAB_SEED is resolved after parsing, so a subcommand without --seed, or with
+        --seed given, runs as it does without the variable."""
+        seqs, report = tmp_path / "seqs.txt", tmp_path / "report.json"
+        seqs.write_text("+-++-+\n")
+        report.write_text(run_cli(capsys, "trend", "--n-grid", "32", "--samples", "2",
+                                  "--format", "json")[1])
+        argv = [{"SEQS": str(seqs), "REPORT": str(report)}.get(arg, arg) for arg in argv]
+        want = run_cli(capsys, *argv)
+        monkeypatch.setenv("CORRLAB_SEED", "abc")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == want[0] == 0
+        assert out == want[1] and out
+
     @pytest.mark.parametrize("env_seed,argv", [
         ("abc", ["trend", "--n-grid", "64", "--samples", "2"]),
         (None, ["bounds", "--check", "theoremC", "--exhaustive"]),

@@ -38,36 +38,36 @@ class TestShiftTuple:
 
 class TestColexEnumeration:
     def test_first_tuples(self):
-        got = list(ms.colex_offsets(5, 2))
+        got = list(orc.colex_offsets(5, 2))
         assert got == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
 
     # (5, 4): k = n - 1; (5, 5): k > n - 1, empty; (2001, 2000): deeper than the recursion limit
     @pytest.mark.parametrize("n,k", [(8, 1), (8, 2), (8, 3), (10, 4), (5, 4), (5, 5),
                                      (2001, 2000)])
     def test_complete_and_colex_sorted(self, n, k):
-        got = list(ms.colex_offsets(n, k))
+        got = list(orc.colex_offsets(n, k))
         assert len(got) == math.comb(n - 1, k)
         assert len(set(got)) == len(got)
         assert got == sorted(got, key=lambda t: tuple(reversed(t)))
 
     def test_rank_unrank_round_trip(self):
         for k in (1, 2, 3):
-            for rank, offs in enumerate(ms.colex_offsets(9, k)):
-                assert ms.colex_rank(offs) == rank
-                assert ms.colex_unrank(rank, k) == offs
+            for rank, offs in enumerate(orc.colex_offsets(9, k)):
+                assert orc.colex_rank(offs) == rank
+                assert orc.colex_unrank(rank, k) == offs
 
     def test_unrank_large(self):
         rank = math.comb(10 ** 6, 4) // 3
-        offs = ms.colex_unrank(rank, 4)
-        assert ms.colex_rank(offs) == rank
+        offs = orc.colex_unrank(rank, 4)
+        assert orc.colex_rank(offs) == rank
 
     @staticmethod
     def check_vector_unrank(ranks, k, n):
         got = ms._unrank(ranks, k, n)
         assert got.dtype == np.int64 and got.shape == (len(ranks), k)
         rows = [tuple(row) for row in got.tolist()]
-        assert rows == [ms.colex_unrank(q, k) for q in ranks]
-        assert [ms.colex_rank(row) for row in rows] == list(ranks)
+        assert rows == [orc.colex_unrank(q, k) for q in ranks]
+        assert [orc.colex_rank(row) for row in rows] == list(ranks)
 
     def test_vector_unrank_full_spaces(self):
         for n in range(2, 13):
@@ -75,7 +75,17 @@ class TestColexEnumeration:
                 total = math.comb(n - 1, k)
                 self.check_vector_unrank(range(total), k, n)
                 assert [tuple(row) for row in ms._unrank(list(range(total)), k, n).tolist()] \
-                    == list(ms.colex_offsets(n, k))
+                    == list(orc.colex_offsets(n, k))
+
+    @pytest.mark.parametrize("block_words", [1, 3, 16])
+    def test_rank_blocks_enumerate_colex_order(self, block_words):
+        """The scans' tuples come from `_unrank` in blocks of `_BLOCK_WORDS` ranks; blocks
+        of 1, 3 and 16 ranks split the order at every point."""
+        with mock.patch.object(ms, "_BLOCK_WORDS", block_words):
+            for n in range(2, 15):
+                for k in range(n + 1):  # k = n: no tuple
+                    want = list(orc.colex_offsets(n, k)) if k else [()]
+                    assert [tuple(t) for t in ms._colex_tuples(n, k)] == want, (n, k)
 
     def test_vector_unrank_random_ranks(self):
         rng = random.Random(5)
@@ -215,10 +225,10 @@ class TestCorrelationMeasureExact:
         for seq in seqs:
             res = ms.correlation_measure_exact(seq, 3)
             ranges = [ms.range_of_walk(ms.product_sequence(seq, ms.ShiftTuple(offs)))
-                      for offs in ms.colex_offsets(seq.length, 2)]
+                      for offs in orc.colex_offsets(seq.length, 2)]
             assert res.value == max(ranges)
             maximizers.append([q for q, v in enumerate(ranges) if v == res.value])
-            assert ms.colex_rank(res.witness_tuple.offsets) == maximizers[-1][0]
+            assert orc.colex_rank(res.witness_tuple.offsets) == maximizers[-1][0]
         # seed 3 at n=256 reaches its maximum in more than one block (16 words a row)
         block = ms._BLOCK_WORDS // 16
         assert len({q // block for q in maximizers[-1]}) > 1

@@ -177,7 +177,7 @@ class TestExactTail:
     def test_matches_enumeration_for_every_tuple(self):
         for n in range(2, 13):
             for k in range(1, min(3, n - 1) + 1):
-                for offsets in ms.colex_offsets(n, k):
+                for offsets in orc.colex_offsets(n, k):
                     u = ms.ShiftTuple(offsets)
                     sums = np.abs(orc._correlation_sums_all(n, u))
                     for lam in (0, 1, 2.5, n / 2, n):

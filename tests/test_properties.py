@@ -221,7 +221,7 @@ def sequence_and_ranks(draw):
 @given(sequence_and_ranks())
 def test_best_tuple_is_first_maximizer(case):
     seq, k, ranks, block_words = case
-    tuples = [ms.colex_unrank(q, k) for q in ranks]
+    tuples = [orc.colex_unrank(q, k) for q in ranks]
     ranges = [ms.range_of_walk(ms.product_sequence(seq, ms.ShiftTuple(t))) for t in tuples]
     with mock.patch.object(ms, "_BLOCK_WORDS", block_words):  # 16 words: blocks of 3 to 16 rows
         got = ms._best_tuple(seq._bytes(), seq.length, ranks, k)

@@ -1,6 +1,6 @@
 """Mutation check for the fast kernels: every mutant must fail one of its tests.
 
-    python tools/mutants.py            # run every mutant (about 100 s on a loaded 2-core VM)
+    python tools/mutants.py            # run every mutant (about 170 s on a loaded 2-core VM)
     python tools/mutants.py NAME ...   # run the named mutants only
 
 A mutant is a file under src/corrlab, an old text that occurs there exactly
@@ -34,6 +34,8 @@ LAYOUTS = "tests/test_properties.py::test_layouts_agree"
 BEST_TUPLE = "tests/test_properties.py::test_best_tuple_is_first_maximizer"
 SAMPLER = "tests/test_seqcore.py::TestPackedSampler"
 RANK_DRAWS = "tests/test_measures.py::TestRankDraws::test_bulk_draw_equals_randrange_loop"
+RANGES = "tests/test_measures.py::TestBatchKernels::test_range_batch"
+RANK_BLOCKS = "tests/test_measures.py::TestColexEnumeration::test_rank_blocks_enumerate_colex_order"
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,12 @@ MUTANTS = (
     Mutant("phases-without-spare-word", "measures.py",
            "_pack_phases(rows, n, n // 16 + 1)", "_pack_phases(rows, n, -(-n // 16))",
            (BLOCKED,)),
+    Mutant("rank-block-drops-last-rank", "measures.py",
+           "min(start + _BLOCK_WORDS, total)", "min(start + _BLOCK_WORDS, total) - 1",
+           (RANK_BLOCKS,)),
+    Mutant("plain-read-folds-wrong-axis", "measures.py",
+           "ranges.reshape(-1, count).max(axis=0)", "ranges.reshape(count, -1).max(axis=1)",
+           (BLOCKED,)),
     Mutant("u2-runs-to-last-offset", "measures.py",
            "upper[0] if upper else n", "upper[-1] if upper else n", (BLOCKED,)),
     Mutant("r2-block-crosses-word-boundary", "measures.py",
@@ -65,6 +73,14 @@ MUTANTS = (
            "walk[:, 1:] + walk[:, :-1]", "walk[:, 1:] - walk[:, :-1]", (BOUND,)),
     Mutant("bound-group-of-30-bits", "measures.py",
            ".view(np.int8) - 16", ".view(np.int8) - 15", (BOUND,)),
+    Mutant("range-pad-bits-not-set", "measures.py",
+           "top.take(last | (0xFFFF ^ keep))", "top.take(last)", (RANGES,)),
+    Mutant("range-last-word-offset-dropped", "measures.py",
+           "end = walk[:, -1] if full else 0", "end = 0", (RANGES,)),
+    Mutant("range-row-words-reversed", "measures.py",
+           'rows.view("<u2")', 'rows.view("<u2")[:, ::-1]', (RANGES,)),
+    Mutant("empty-matrix-accepted", "measures.py", "if not mat.shape[1]:", "if False:",
+           ("tests/test_measures.py::TestBatchKernels::test_rejects_entries_other_than_pm1",)),
     Mutant("phase-shift-off-by-one", "measures.py",
            "packed[p] = pairs >> p", "packed[p] = pairs >> (p + 1)", (PHASES, FIRST_N_BITS)),
     Mutant("phase-high-word-dropped", "measures.py",
@@ -80,9 +96,17 @@ MUTANTS = (
     Mutant("draw-reads-low-bit", "seqcore.py",
            "block.view(np.uint8) >> 7", "block.view(np.uint8) & 1",
            (f"{SAMPLER}::test_rows_are_numpy_generator_draws",)),
+    Mutant("sampler-counter-carried-over", "seqcore.py", 'state["state"]["key"] = key',
+           'state["state"].update(key=key, counter=philox.state["state"]["counter"])',
+           (f"{SAMPLER}::test_rows_are_numpy_generator_draws",)),
+    Mutant("sampler-keeps-output-buffer", "seqcore.py", "philox.state = state",
+           'philox.state = {**state, **{key: philox.state[key] for key in ("buffer", '
+           '"buffer_pos")}}', (f"{SAMPLER}::test_rows_are_numpy_generator_draws",)),
     Mutant("distinct-ranks-not-deduplicated", "measures.py",
            "ranks = ranks[np.sort(np.unique(ranks, return_index=True)[1])]", "ranks = ranks",
            (RANK_DRAWS,)),
+    Mutant("rank-high-word-shift", "measures.py",
+           "32 * i for i in range(per)", "31 * i for i in range(per)", (RANK_DRAWS,)),
     Mutant("rank-last-word-shift-off-by-one", "measures.py",
            "32 * per - b", "32 * per - b + 1", (RANK_DRAWS,)),
     Mutant("unrank-searches-left", "measures.py", 'side="right"', 'side="left"',
