@@ -26,6 +26,7 @@ from .seqcore import BinarySequence, SeedSpec, _packed, _pm1, _symbols
 
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
 _BLOCK_WORDS = 1 << 15  # words per tuple block: _best_tuple (fastest of 2^13..2^16), _scan_words
+_COLUMN_CELLS = 1 << 17  # tuples x rows per _scan_columns block, where 8 tuples or more fit
 _BOUND_WORDS = 17  # product words from which _scan_words reads a pair only past its bound
 EXACT_LOG_DIGIT_CAP = 5000  # decimal digits above which binomial logs use log-gamma, not big ints
 
@@ -143,13 +144,20 @@ def _unrank(ranks: Sequence[int], k: int, n: int) -> np.ndarray:
     return out
 
 
-def _colex_tuples(n: int, k: int) -> Iterator[list[int]]:
-    """Every k-tuple of offsets from 1..n-1 in colex order (one empty tuple at k = 0), as lists,
-    from `_unrank` in blocks of `_BLOCK_WORDS` ranks. A block peaks at 64 + 16 k bytes a rank,
-    and 32 more per offset above 256 (tracemalloc; 11 MB at k = 18)."""
+def _colex_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+    """Every k-tuple of offsets from 1..n-1 in colex order (one empty tuple at k = 0), as
+    (tuples, k) arrays from `_unrank` over consecutive blocks of `_BLOCK_WORDS` ranks. A block
+    peaks at 64 + 16 k bytes a rank, and 32 more per offset above 256 (tracemalloc; 11 MB at
+    k = 18)."""
     total = math.comb(n - 1, k)
     for start in range(0, total, _BLOCK_WORDS):
-        yield from _unrank(range(start, min(start + _BLOCK_WORDS, total)), k, n).tolist()
+        yield _unrank(range(start, min(start + _BLOCK_WORDS, total)), k, n)
+
+
+def _colex_tuples(n: int, k: int) -> Iterator[list[int]]:
+    """The tuples of `_colex_blocks`, one list each."""
+    for block in _colex_blocks(n, k):
+        yield from block.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +428,13 @@ def _range_bound(prod: np.ndarray) -> np.ndarray:
     and its range is at most max m - min m + 32. A product's walk is a prefix of its padded
     one, whose range is no smaller, so neither the bits past its length nor the pad need a
     mask."""
-    half = np.bitwise_count(prod.view(np.uint32)).view(np.int8) - 16  # c_g - 16
-    walk = np.zeros((prod.shape[0], half.shape[1] + 1), dtype=np.int32)
-    np.cumsum(half, axis=1, dtype=np.int32, out=walk[:, 1:])
-    mid = walk[:, 1:] + walk[:, :-1]  # -m_g
-    return mid.max(axis=1) - mid.min(axis=1) + 32
+    # (groups, pairs): numpy's running sum down axis 0 spans every pair per group, which
+    # measured 0.77-0.86 of the whole _scan_words against one along axis 1
+    half = (np.bitwise_count(prod.view(np.uint32)).view(np.int8) - 16).T.copy()  # c_g - 16
+    walk = np.zeros((half.shape[0] + 1, prod.shape[0]), dtype=np.int32)
+    np.cumsum(half, axis=0, dtype=np.int32, out=walk[1:])
+    mid = walk[1:] + walk[:-1]  # -m_g
+    return mid.max(axis=0) - mid.min(axis=0) + 32
 
 
 def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
@@ -492,29 +502,71 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     return best
 
 
+def _column_block(rows: int) -> int:
+    """Tuples per block of `_scan_columns` on `rows` columns (the rule is in its docstring)."""
+    size = _COLUMN_CELLS // rows
+    return size if size >= 8 else 1
+
+
 def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
     """C_r of every column of an (n, rows) ±1 int8 matrix, as int32.
 
-    Per tuple of `_colex_tuples`, one pass over the n - u_r positions multiplies r rows of
-    `cols` into one step vector and updates running sum, max and min vectors in place, so
-    every operation spans all sequences. Every buffer is int8: a walk of at most 127 steps
-    (n <= 128) stays within ±127, and the one caller, the exhaustive certificates, stops
-    at n = 24 (`EXHAUSTIVE_LIMIT`)."""
+    The tuples of `_colex_blocks` are walked in blocks of T consecutive ones, with (T, rows)
+    walk, high, low and step buffers. At position j, factor i of every tuple still walking
+    is row j + u_i of `cols`, gathered, and the step is their product with row j. Colex
+    order keeps u_r nondecreasing, so the tuples still walking at j (u_r < n - j) are a
+    prefix of the block: nothing is padded or masked. A prefix of one tuple reads its rows
+    as views. Every buffer is int8: a walk of at most 127 steps (n <= 128) stays within
+    ±127, and the one caller, the exhaustive certificates, stops at n = 24
+    (`EXHAUSTIVE_LIMIT`).
+
+    At small n the one-tuple walk is bound by numpy's per-call cost, and a block spreads
+    each call over T tuples; gathers cost more than views, so tall inputs walk one tuple at
+    a time. T is `_COLUMN_CELLS` // rows (2^17 cells), or 1 where that is below 8. Time of
+    `bounds._exhaustive_worst` over T = 1 (2-core VM, min of 7; * marks the rule's T):
+
+        n, orders (rows)         T = 2    4     8     16    32    64    128   256
+        10, [2,4,6] (256)            1.11 0.64  0.40  0.29  0.23  0.20  0.20  0.21
+        12, [2,4,6,8] (1024)         1.06 0.52  0.33  0.23  0.19  0.15  0.15* 0.15
+        14, [2,4,6,8] (4096)         1.05 0.65  0.47  0.36  0.33* 0.32  0.36  0.47
+        15, [2,4,6] (8192)           1.23 0.79  0.61  0.54* 0.52  0.61  0.74  1.01
+        16, [2,4,6,8] (16384)        1.28 1.00  0.83* 0.81  0.89  1.08  1.44  1.72
+        17, [2,4] (32768)            1.25 1.00  1.12  1.31  1.63  1.99  2.25  3.02
+        18, [2] (65536)              1.13 1.18  1.52  1.86  2.22  2.93  4.13  6.11
+
+    At n = 10 the rule's T is 512, which holds each order in one block, as 128 and 256 do;
+    from 32,768 rows on it is 1."""
     n, rows = cols.shape
-    best = np.zeros(rows, dtype=np.int8)
-    step = np.empty(rows, dtype=np.int8)
-    for offsets in _colex_tuples(n, r - 1):
-        walk, hi, lo = np.zeros((3, rows), dtype=np.int8)
-        for j in range(n - offsets[-1]):
-            np.multiply(cols[j], cols[j + offsets[0]], out=step)
-            for u in offsets[1:]:
-                step *= cols[j + u]
-            walk += step
-            np.maximum(hi, walk, out=hi)
-            np.minimum(lo, walk, out=lo)
-        hi -= lo
-        np.maximum(best, hi, out=best)
-    return best.astype(np.int32)
+    size = _column_block(rows)
+    state = np.zeros((4, size, rows), dtype=np.int8)  # walk, high, low, step: a slot per tuple
+    best = np.zeros((size, rows), dtype=np.int8)  # per slot
+    for ranks in _colex_blocks(n, r - 1):
+        columns = ranks.T.copy()  # row i - 2: u_i of every tuple
+        lengths = (n - columns[-1]).tolist()  # nonincreasing: colex order keeps u_r nondecreasing
+        for start in range(0, len(lengths), size):
+            block, done = min(size, len(lengths) - start), 0
+            for t in range(block, 0, -1):  # the first t tuples walk on until tuple t - 1 ends
+                stop = lengths[start + t - 1]
+                if stop == done:
+                    continue
+                # factor i is row j + u_i: gathered for t tuples, a view for one
+                picks = ([u[start:start + t] for u in columns] if t > 1
+                         else columns[:, start].tolist())
+                walk, hi, lo, step = state[:, :t] if t > 1 else state[:, 0]
+                for j in range(done, stop):
+                    shifted = cols[j:]
+                    np.multiply(cols[j], shifted[picks[0]], out=step)
+                    for pick in picks[1:]:
+                        step *= shifted[pick]
+                    walk += step
+                    np.maximum(hi, walk, out=hi)
+                    np.minimum(lo, walk, out=lo)
+                done = stop
+            hi, lo = state[1, :block], state[2, :block]
+            hi -= lo
+            np.maximum(best[:block], hi, out=best[:block])
+            state[:3] = 0  # the next block walks from 0
+    return best.max(axis=0).astype(np.int32)
 
 
 def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:

@@ -8,8 +8,10 @@ up to n = 70 plus 1000 and 4097, and packed rows with arbitrary bits past
 n up to n = 20, r = 4; the popcount bound on every product is tied to the
 unfiltered read at n = 2..80, r = 2..5, and at n = 1000 and 4097, r = 2, with
 1..4 rows, 0..2 spare bytes and random bits past n, to the column scan up to
-n = 80 and to the oracle up to n = 20) and the search is derandomized, so the
-module runs in well under a minute and every run draws the same examples.
+n = 80 and to the oracle up to n = 20; blocks of the column walk are tied to the
+one-tuple walk at n = 2..16, r = 2..8 with up to 2,000 tuples) and the search is
+derandomized, so the module runs in well under a minute and every run draws the
+same examples.
 """
 
 import math
@@ -244,3 +246,45 @@ def test_sampled_replays_and_never_exceeds_exact(case, budget, seed):
     sampled = ms.correlation_measure_sampled(seq, r, budget, sc.SeedSpec(seed, 0))
     assert ms.replay_witness(seq, sampled) == sampled.value
     assert sampled.value <= ms.correlation_measure_exact(seq, r).value
+
+
+@st.composite
+def column_walk_case(draw):
+    """±1 columns for the blocked column walk: n = 2..16, r = 2..8 with at most 2,000
+    tuples, 1..40 columns (at times an all +1 or all -1 one), a tuple block of 1, 2 or 3
+    tuples or of the whole order, and rank blocks of 5 or 7 tuples (which end inside tuple
+    blocks) or of `_BLOCK_WORDS`."""
+    n = draw(st.integers(2, 16))
+    r = draw(st.sampled_from([r for r in range(2, min(8, n) + 1)
+                              if math.comb(n - 1, r - 1) <= 2000]))
+    count = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = (1 - 2 * rng.integers(0, 2, size=(n, count))).astype(np.int8)
+    for value in (1, -1):
+        col = draw(st.integers(0, 2 * count))
+        if col < count:
+            cols[:, col] = value
+    block = draw(st.sampled_from([1, 2, 3, math.comb(n - 1, r - 1)]))
+    return cols, r, block, draw(st.sampled_from([5, 7, ms._BLOCK_WORDS]))
+
+
+@PROPERTY
+@given(column_walk_case())
+def test_blocked_column_walk_equals_one_tuple_walk(case):
+    """Blocks of tuples, cut anywhere and at rank-block edges, give the one-tuple walk's
+    values; a constant column gives n - r + 1, and two columns match the oracle at n <= 10
+    (and r <= 5, its limit)."""
+    cols, r, block, block_words = case
+    n = cols.shape[0]
+    with mock.patch.object(ms, "_column_block", lambda rows: 1):
+        want = ms._scan_columns(cols, r)
+    with mock.patch.object(ms, "_column_block", lambda rows: block):
+        with mock.patch.object(ms, "_BLOCK_WORDS", block_words):
+            got = ms._scan_columns(cols, r)
+    assert got.dtype == np.int32
+    assert got.tolist() == want.tolist()
+    constant = (cols == cols[:1]).all(axis=0)
+    assert (got[constant] == n - r + 1).all()
+    if n <= 10 and r <= 5:
+        for col, value in zip(cols.T[:2], got):
+            assert value == orc.naive_correlation_measure(sc.BinarySequence.from_array(col), r)

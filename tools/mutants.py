@@ -31,6 +31,7 @@ BOUND = "tests/test_properties.py::test_bound_scan_equals_plain_scan_columns_and
 PHASES = "tests/test_properties.py::test_phase_words_are_shifted_packed_rows"
 FIRST_N_BITS = "tests/test_properties.py::test_word_scan_reads_the_first_n_bits"
 LAYOUTS = "tests/test_properties.py::test_layouts_agree"
+COLUMN_WALK = "tests/test_properties.py::test_blocked_column_walk_equals_one_tuple_walk"
 BEST_TUPLE = "tests/test_properties.py::test_best_tuple_is_first_maximizer"
 SAMPLER = "tests/test_seqcore.py::TestPackedSampler"
 RANK_DRAWS = "tests/test_measures.py::TestRankDraws::test_bulk_draw_equals_randrange_loop"
@@ -68,9 +69,9 @@ MUTANTS = (
     # holds whatever the bits past the product's length and the pad words are: a mutant
     # that leaves those bits set, or pads with zero words, is equivalent and left out.
     Mutant("bound-drops-slack", "measures.py",
-           "mid.min(axis=1) + 32", "mid.min(axis=1)", (BOUND,)),
+           "mid.min(axis=0) + 32", "mid.min(axis=0)", (BOUND,)),
     Mutant("bound-midpoint-is-group-step", "measures.py",
-           "walk[:, 1:] + walk[:, :-1]", "walk[:, 1:] - walk[:, :-1]", (BOUND,)),
+           "walk[1:] + walk[:-1]", "walk[1:] - walk[:-1]", (BOUND,)),
     Mutant("bound-group-of-30-bits", "measures.py",
            ".view(np.int8) - 16", ".view(np.int8) - 15", (BOUND,)),
     Mutant("range-pad-bits-not-set", "measures.py",
@@ -86,9 +87,14 @@ MUTANTS = (
     Mutant("phase-high-word-dropped", "measures.py",
            "pairs = w[:, :-1] | w[:, 1:] << 16", "pairs = w[:, :-1]", (PHASES, FIRST_N_BITS)),
     Mutant("column-scan-drops-last-step", "measures.py",
-           "range(n - offsets[-1])", "range(n - offsets[-1] - 1)", (LAYOUTS,)),
+           "(n - columns[-1]).tolist()", "(n - 1 - columns[-1]).tolist()", (LAYOUTS, COLUMN_WALK)),
     Mutant("column-walk-misses-falls", "measures.py",
-           "np.minimum(lo, walk, out=lo)", "np.minimum(lo, 0, out=lo)", (LAYOUTS,)),
+           "np.minimum(lo, walk, out=lo)", "np.minimum(lo, 0, out=lo)", (LAYOUTS, COLUMN_WALK)),
+    Mutant("column-block-walk-not-reset", "measures.py",
+           "state[:3] = 0", "state[:0] = 0", (COLUMN_WALK,)),
+    Mutant("column-prefix-drops-tuple-early", "measures.py",
+           "stop = lengths[start + t - 1]", "stop = lengths[start + t - 1] - (t > 1)",
+           (COLUMN_WALK,)),
     Mutant("best-tuple-lane-off-by-one", "measures.py",
            "flat.take(u[:, None] + lanes)", "flat.take(u[:, None] + lanes + 1)", (BEST_TUPLE,)),
     Mutant("seed-hash-wrong-multiplier", "seqcore.py", "0x931E8875", "0x931E8876",
