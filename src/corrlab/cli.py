@@ -14,6 +14,7 @@ error (exit 2) leaves stdout empty, and it maps `ok` to exit 0 or 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -221,6 +222,7 @@ def _add_common(sub, *, workers=True, seed=True, fmt=False, budget=False):
                          help="step budget, tuples x sequence length (default 1e9)")
 
 
+@functools.cache  # built once per process; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrlab",

@@ -27,7 +27,7 @@ from .seqcore import BinarySequence, SeedSpec, _packed, _pm1, _symbols
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
 _BLOCK_WORDS = 1 << 15  # words per tuple block: _best_tuple (fastest of 2^13..2^16), _scan_words
 _COLUMN_CELLS = 1 << 17  # tuples x rows per _scan_columns block, where 8 tuples or more fit
-_BOUND_WORDS = 17  # product words from which _scan_words reads a pair only past its bound
+_BOUND_WORDS = 9  # product words from which _scan_words reads a pair only past its bound
 EXACT_LOG_DIGIT_CAP = 5000  # decimal digits above which binomial logs use log-gamma, not big ints
 
 
@@ -194,14 +194,14 @@ def _best_tuple(row: np.ndarray, n: int, ranks: Sequence[int],
     """Largest walk range over a stream of colex ranks, with its first maximizer,
     for the length-n sequence of packed bytes `row`.
 
-    Each block of ranks is unranked (`_unrank`) into rows, one per tuple,
-    whose product is the XOR of r shifted word rows of the one sequence
-    (`_pack_phases`). Of a row's words, word w keeps its first
-    clip(L - 16 w, 0, 16) bits, L = n - u_r the product length; the rest are
-    set for the maximum (so the walk only falls after the product) and
-    cleared for the minimum (it only rises), and the range is read from
-    `_word_tables` as in `_word_ranges`. The first maximizer in stream order
-    wins: argmax inside a block, strict > across blocks."""
+    Each block of ranks is unranked (`_unrank`) into tuples, whose products are the XOR
+    of r shifted words of the one sequence (`_pack_phases`), held as (words, tuples) so
+    that the running sums (`_running_sum`), max and min run down axis 0. Word w of a
+    product keeps its first clip(L - 16 w, 0, 16) bits, L = n - u_r its length; the rest
+    are set for the maximum (so the walk only falls after the product) and cleared for the
+    minimum (it only rises), and the range is read from `_word_tables` as in `_word_ranges`:
+    word 0's top and bottom include the empty prefix, so max >= 0 >= min. The first
+    maximizer in stream order wins: argmax inside a block, strict > across blocks."""
     width = -(-n // 16)
     # in bit-offset order: entry t is the row's 16 bits from bit t, so word w of shift u is u + 16 w
     flat = _pack_phases(row[None, :], n, 2 * width)[:, 0].T.ravel()
@@ -210,16 +210,16 @@ def _best_tuple(row: np.ndarray, n: int, ranks: Sequence[int],
     best, best_offsets = -1, None
     for start in range(0, len(ranks), block):
         offsets = _unrank(ranks[start:start + block], k, n)
-        lengths = n - offsets[:, -1:]
-        lanes = 16 * np.arange(-(-int(lengths.max()) // 16))
+        lengths = n - offsets[:, -1]
+        lanes = 16 * np.arange(-(-int(lengths.max()) // 16))[:, None]
         prod = flat[lanes]  # u_1 = 0
         for u in offsets.T:
-            prod = prod ^ flat.take(u[:, None] + lanes)
+            prod = prod ^ flat.take(lanes + u)
         keep = ((1 << np.clip(lengths - lanes, 0, 16)) - 1).astype(np.uint16)
         hi_words, lo_words = prod | ~keep, prod & keep
-        hi = step_sum.take(hi_words).cumsum(axis=1, dtype=np.int32) + top_less_sum.take(hi_words)
-        lo = step_sum.take(lo_words).cumsum(axis=1, dtype=np.int32) + bottom_less_sum.take(lo_words)
-        ranges = hi.max(axis=1, initial=0) - lo.min(axis=1, initial=0)
+        hi = _running_sum(step_sum.take(hi_words).astype(np.int32)) + top_less_sum.take(hi_words)
+        lo = _running_sum(step_sum.take(lo_words).astype(np.int32)) + bottom_less_sum.take(lo_words)
+        ranges = hi.max(axis=0) - lo.min(axis=0)
         i = int(ranges.argmax())
         if ranges[i] > best:
             best, best_offsets = int(ranges[i]), tuple(offsets[i].tolist())
@@ -420,19 +420,31 @@ def _packed_ranges(rows: np.ndarray, length: int) -> np.ndarray:
     return _word_ranges(rows.view("<u2"), length)
 
 
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """`x` with its running sum down axis 0, in place, by doubling (Hillis & Steele 1986): the
+    pass at d = 1, 2, 4, ... adds row i - d to row i, whole rows at once (where numpy's cumsum
+    walks a short axis 0 one element at a time), so row i then sums rows i - 2d + 1..i."""
+    d = 1
+    while d < len(x):
+        x[d:] = x[d:] + x[:-d]  # from the old rows: the sum is made before it is stored
+        d *= 2
+    return x
+
+
 def _range_bound(prod: np.ndarray) -> np.ndarray:
     """Upper bound on the walk range of each row of 16-bit words padded with 0x5555 words to
-    whole 32-bit groups, as int32. Group g holding c_g set bits, the walk ends group g at
+    whole 32-bit groups. Group g holding c_g set bits, the walk ends group g at
     T_g = 32 (g + 1) - 2 (c_0 + ... + c_g); j steps into the group it is within j of
     T_{g-1} and 32 - j of T_g, so within 16 of m_g = (T_{g-1} + T_g) / 2 = T_g + c_g - 16,
     and its range is at most max m - min m + 32. A product's walk is a prefix of its padded
     one, whose range is no smaller, so neither the bits past its length nor the pad need a
-    mask."""
-    # (groups, pairs): numpy's running sum down axis 0 spans every pair per group, which
-    # measured 0.77-0.86 of the whole _scan_words against one along axis 1
-    half = (np.bitwise_count(prod.view(np.uint32)).view(np.int8) - 16).T.copy()  # c_g - 16
-    walk = np.zeros((half.shape[0] + 1, prod.shape[0]), dtype=np.int32)
-    np.cumsum(half, axis=0, dtype=np.int32, out=walk[1:])
+    mask. The sums run down the (groups, pairs) transpose, in int16 below 1024 groups: walk
+    -T_g / 2 and mid -m_g stay within 32 groups, and T moves at most 32 a group, so
+    m_g - m_g' <= 32 (g - g') and the bound is at most 32 groups < 2^15."""
+    groups = prod.shape[1] // 2
+    walk = np.zeros((groups + 1, prod.shape[0]), dtype=np.int16 if groups < 1024 else np.int32)
+    walk[1:] = (np.bitwise_count(prod.view(np.uint32)).view(np.int8) - 16).T  # c_g - 16
+    _running_sum(walk)
     mid = walk[1:] + walk[:-1]  # -m_g
     return mid.max(axis=0) - mid.min(axis=0) + 32
 
@@ -454,13 +466,15 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     of `_BOUND_WORDS` words or more, padded to whole 32-bit groups, is read only where
     `_range_bound` exceeds its row's best, which a skipped pair cannot raise; shorter ones
     are read whole, since the bound costs them more than it saves. Time with the bound from
-    w words over the whole read (2-core VM, min of 7; w = 9 and 13 cost 1.13-1.35 at n = 256):
+    w words over the whole read, by rows x n : r (2-core VM, min of 7; products at n <= 64
+    hold under 5 words, so those columns are noise; at 4096 x 128 r = 2, w = 5 costs 1.13):
 
-        rows x n : r    w = 0   w = 17         rows x n : r    w = 0   w = 17
-        4096 x 16 : 3   7.51    1.01           200 x 512 : 2   0.87    0.95
-        4096 x 64 : 2   2.03    1.00           200 x 512 : 3   0.72    0.92
-        40 x 256 : 2    1.43    1.04           40 x 2048 : 2   0.57    0.58
-        4096 x 256 : 2  1.20    1.01           500 x 4096 : 2  0.41    0.50"""
+        w    4096x16:3 4096x64:2 40x256:2 4096x256:2 200x512:2 200x512:3 40x2048:2 500x4096:2
+        0    5.16      1.43      0.83     0.66       0.45      0.23      0.35      0.23
+        5    0.98      1.03      0.86     0.71       0.48      0.28      0.35      0.22
+        9    0.96      1.02      0.93     0.86       0.56      0.44      0.36      0.23
+        13   0.94      1.08      0.99     0.99       0.62      0.58      0.36      0.24
+        17   0.94      1.08      0.96     0.94       0.69      0.71      0.37      0.24"""
     _check_order(n, r)
     if math.comb(n - 1, r - 1) > 10 ** 8:
         raise ResourceLimitError(

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,6 +225,21 @@ class TestCliContract:
         code, out, _ = run_cli(capsys, "expect", "--n-grid", "32", "--samples", "10")
         assert code == 0
         assert '"master_seed": 777' in out
+
+    def test_one_parser_per_process_keeps_no_state_between_runs(self, capsys, monkeypatch):
+        """`cli.run` reuses one parser: a --seed given to one run is not the default of the
+        next, CORRLAB_SEED is still read, and the bytes equal a fresh process's run."""
+        argv = ["trend", "--n-grid", "32", "--samples", "4"]
+        monkeypatch.setenv("CORRLAB_SEED", "777")
+        given = run_cli(capsys, *argv, "--seed", "5")
+        default = run_cli(capsys, *argv)
+        assert cli._build_parser() is cli._build_parser()
+        assert given[0] == default[0] == 0
+        assert '"master_seed": 5' in given[1] and '"master_seed": 777' in default[1]
+        fresh = subprocess.run([sys.executable, "-m", "corrlab.cli", *argv], capture_output=True,
+                               env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                               text=True, check=True)
+        assert fresh.stdout == default[1]
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--check", "expect", "--n", "4", "--order", "2"],

@@ -490,6 +490,21 @@ class TestBatchKernels:
         assert list(ms.range_values_batch(np.ones((2, 40000), dtype=np.int8))) == [40000] * 2
         assert list(ms.exact_values_batch(np.ones((1, 40000), dtype=np.int8), 2)) == [39999]
 
+    @pytest.mark.parametrize("groups", [1023, 1024, 1100])
+    def test_range_bound_at_the_int16_edge(self, groups):
+        # `_range_bound` sums in int16 below 1024 groups; all-set and all-clear rows reach
+        # its largest value, 32 groups (their walks' ranges), which int16 holds only below 1024
+        rng = np.random.default_rng(79)
+        prod = np.stack([np.full(2 * groups, 0xFFFF), np.zeros(2 * groups),
+                         np.repeat([0, 0xFFFF], groups),
+                         rng.integers(0, 1 << 16, 2 * groups)]).astype(np.uint16)
+        counts = np.bitwise_count(prod.view(np.uint32)).astype(np.int64) - 16
+        walk = np.pad(counts.cumsum(axis=1), ((0, 0), (1, 0)))
+        mid = walk[:, 1:] + walk[:, :-1]
+        want = mid.max(axis=1) - mid.min(axis=1) + 32
+        assert want[:2].tolist() == [32 * groups] * 2
+        assert ms._range_bound(prod).tolist() == want.tolist()
+
     def test_bound_skips_most_pairs_of_the_bench_trend_cell(self):
         # 40 random rows of n = 2048 at r = 2, the shape of the benchmark's trend call: of
         # the pairs whose products hold `_BOUND_WORDS` words or more (u_2 <= 2048 - 16

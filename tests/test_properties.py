@@ -9,7 +9,8 @@ n up to n = 20, r = 4; the popcount bound on every product is tied to the
 unfiltered read at n = 2..80, r = 2..5, and at n = 1000 and 4097, r = 2, with
 1..4 rows, 0..2 spare bytes and random bits past n, to the column scan up to
 n = 80 and to the oracle up to n = 20; blocks of the column walk are tied to the
-one-tuple walk at n = 2..16, r = 2..8 with up to 2,000 tuples) and the search is
+one-tuple walk at n = 2..16, r = 2..8 with up to 2,000 tuples, and the doubling running
+sum to cumsum on 0..70 rows) and the search is
 derandomized, so the module runs in well under a minute and every run draws the
 same examples.
 """
@@ -206,6 +207,21 @@ def test_word_scan_reads_the_first_n_bits(case):
     got = ms._scan_words(rows, n, r)
     assert got.dtype == np.int32
     assert got.tolist() == [naive[s.bits] for s in seqs]
+
+
+@PROPERTY
+@given(st.integers(0, 70), st.integers(1, 5), st.sampled_from([np.int16, np.int32]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_running_sum_is_cumsum(rows, cols, dtype, transposed, seed):
+    """`_running_sum` is numpy's cumsum down axis 0, in place, in int16 and int32, on
+    contiguous arrays and on transposed views."""
+    x = np.random.default_rng(seed).integers(-400, 401, size=(rows, cols)).astype(dtype)
+    want = np.cumsum(x, axis=0, dtype=dtype)  # |sum| <= 28,000 fits int16
+    if transposed:
+        x = np.ascontiguousarray(x.T).T
+    got = ms._running_sum(x)
+    assert got is x and got.dtype == dtype
+    assert np.array_equal(got, want)
 
 
 @st.composite

@@ -74,6 +74,9 @@ MUTANTS = (
            "walk[1:] + walk[:-1]", "walk[1:] - walk[:-1]", (BOUND,)),
     Mutant("bound-group-of-30-bits", "measures.py",
            ".view(np.int8) - 16", ".view(np.int8) - 15", (BOUND,)),
+    Mutant("bound-int16-past-1024-groups", "measures.py",
+           "if groups < 1024 else", "if groups <= 1024 else",
+           ("tests/test_measures.py::TestBatchKernels::test_range_bound_at_the_int16_edge",)),
     Mutant("range-pad-bits-not-set", "measures.py",
            "top.take(last | (0xFFFF ^ keep))", "top.take(last)", (RANGES,)),
     Mutant("range-last-word-offset-dropped", "measures.py",
@@ -95,8 +98,13 @@ MUTANTS = (
     Mutant("column-prefix-drops-tuple-early", "measures.py",
            "stop = lengths[start + t - 1]", "stop = lengths[start + t - 1] - (t > 1)",
            (COLUMN_WALK,)),
+    # Lane 0 holds word 0's top and bottom, which include the empty prefix, so a clamp of
+    # _best_tuple's max at 0 and its min at 0 (the old initial=0) is equivalent and left out.
     Mutant("best-tuple-lane-off-by-one", "measures.py",
-           "flat.take(u[:, None] + lanes)", "flat.take(u[:, None] + lanes + 1)", (BEST_TUPLE,)),
+           "flat.take(lanes + u)", "flat.take(lanes + u + 1)", (BEST_TUPLE,)),
+    Mutant("running-sum-skips-last-pass", "measures.py",
+           "while d < len(x):", "while 2 * d < len(x):",
+           ("tests/test_properties.py::test_running_sum_is_cumsum",)),
     Mutant("seed-hash-wrong-multiplier", "seqcore.py", "0x931E8875", "0x931E8876",
            (f"{SAMPLER}::test_keys_are_seed_sequence_states",)),
     Mutant("draw-reads-low-bit", "seqcore.py",

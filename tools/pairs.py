@@ -15,6 +15,8 @@ Shapes:
     evb allN rR         measures.exact_values_batch(seqcore.all_sequences_matrix(N), R)
     best N rR           measures.correlation_measure_exact on one np.random.default_rng(0)
                         sequence (value and witness)
+    sampled N rR B      measures.correlation_measure_sampled on that sequence, B tuples
+                        drawn at SeedSpec(0) (value and witness)
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ DEFAULT_SHAPES = (
     "words 40x2048 r2", "words 200x512 r2", "words 200x512 r3", "words 500x4096 r2",
     "words 200x16384 r2", "words 4096x16 r2", "words 4096x16 r3", "evb all14 r4",
     "exh 10 [2,4,6]", "exh 12 [2,4,6,8]", "exh 14 [2,4,6,8]", "exh 15 [2,4,6]",
-    "exh 16 [2,4,6,8]", "exh 18 [2]", "best 256 r3",
+    "exh 16 [2,4,6,8]", "exh 18 [2]", "best 256 r3", "sampled 256 r6 10000",
 )
 
 
@@ -50,6 +52,11 @@ def load(name: str, src: Path):
     return module
 
 
+def sequence(lib, n: int):
+    """The length-n sequence of np.random.default_rng(0) symbols."""
+    return lib.seqcore.BinarySequence.from_array(1 - 2 * np.random.default_rng(0).integers(0, 2, n))
+
+
 def call(lib, shape: str):
     """A no-argument call running `shape` on the package `lib`."""
     if m := re.fullmatch(r"words (\d+)x(\d+) r(\d+)", shape):
@@ -63,10 +70,12 @@ def call(lib, shape: str):
         mat, r = lib.seqcore.all_sequences_matrix(int(m[1])), int(m[2])
         return lambda: lib.measures.exact_values_batch(mat, r)
     if m := re.fullmatch(r"best (\d+) r(\d+)", shape):
-        n, r = map(int, m.groups())
-        seq = lib.seqcore.BinarySequence.from_array(
-            1 - 2 * np.random.default_rng(0).integers(0, 2, n))
+        seq, r = sequence(lib, int(m[1])), int(m[2])
         return lambda: lib.measures.correlation_measure_exact(seq, r).to_dict()
+    if m := re.fullmatch(r"sampled (\d+) r(\d+) (\d+)", shape):
+        seq, r, budget = sequence(lib, int(m[1])), int(m[2]), int(m[3])
+        seed = lib.seqcore.SeedSpec(0)
+        return lambda: lib.measures.correlation_measure_sampled(seq, r, budget, seed).to_dict()
     raise SystemExit(f"unknown shape {shape!r}")
 
 
