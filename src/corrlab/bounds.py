@@ -32,10 +32,7 @@ def double_factorial_odd(k: int) -> int:
     """(2k-1)!! = (2k-1)(2k-3)...3*1, the number of perfect pairings of 2k objects."""
     if k < 1:
         raise ValueError(f"double_factorial_odd needs k >= 1, got {k}")
-    out = 1
-    for odd in range(2 * k - 1, 1, -2):
-        out *= odd
-    return out
+    return math.prod(range(2 * k - 1, 1, -2))
 
 
 class WelchBound(NamedTuple):

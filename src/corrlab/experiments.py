@@ -341,6 +341,11 @@ def check_extension_difference(cfg: ExperimentConfig, workers: int = 1) -> Exper
 # serialization
 
 
+# The type of each report row field: a number may be an int or a float, not a bool
+_ROW_TYPES = {"n": int, "r": int, "samples": int, "seed": int, "statistic": str,
+              "value": (int, float), "bound": (int, float, type(None)), "verdict": str}
+
+
 def _float_text(x: float | None) -> str:
     return "" if x is None else format(x, ".17g")
 
@@ -391,6 +396,10 @@ def parse_report(text: str, fmt: str) -> ExperimentReport:
             rows = [StatRow(**row) for row in payload["rows"]]
         except TypeError as exc:  # a row that is not an object, or lacks or adds a field
             raise ValueError(f"invalid JSON report row: {exc}") from None
+        for row in rows:
+            for key, value in vars(row).items():
+                if isinstance(value, bool) or not isinstance(value, _ROW_TYPES[key]):
+                    raise ValueError(f"JSON report row field {key!r} has the wrong type: {value!r}")
         return ExperimentReport(payload["experiment"], payload["config"], rows, payload["notes"])
     if fmt == "csv":
         experiment = ""
@@ -408,11 +417,14 @@ def parse_report(text: str, fmt: str) -> ExperimentReport:
                 continue
             elif line:
                 data_lines.append(line)
+        records = csv.DictReader(data_lines, restval="")  # a short row's missing cells are empty
+        if missing := [key for key in _ROW_TYPES if key not in (records.fieldnames or ())]:
+            raise ValueError(f"CSV report lacks the columns {', '.join(missing)}")
         rows = [StatRow(n=int(rec["n"]), r=int(rec["r"]), samples=int(rec["samples"]),
                         seed=int(rec["seed"]), statistic=rec["statistic"],
                         value=float(rec["value"]),
                         bound=float(rec["bound"]) if rec["bound"] else None,
                         verdict=rec["verdict"])
-                for rec in csv.DictReader(data_lines)]
+                for rec in records]
         return ExperimentReport(experiment, config, rows, notes)
     raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")

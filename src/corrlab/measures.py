@@ -144,20 +144,12 @@ def _unrank(ranks: Sequence[int], k: int, n: int) -> np.ndarray:
     return out
 
 
-def _colex_blocks(n: int, k: int) -> Iterator[np.ndarray]:
-    """Every k-tuple of offsets from 1..n-1 in colex order (one empty tuple at k = 0), as
-    (tuples, k) arrays from `_unrank` over consecutive blocks of `_BLOCK_WORDS` ranks. A block
-    peaks at 64 + 16 k bytes a rank, and 32 more per offset above 256 (tracemalloc; 11 MB at
-    k = 18)."""
-    total = math.comb(n - 1, k)
-    for start in range(0, total, _BLOCK_WORDS):
-        yield _unrank(range(start, min(start + _BLOCK_WORDS, total)), k, n)
-
-
-def _colex_tuples(n: int, k: int) -> Iterator[list[int]]:
-    """The tuples of `_colex_blocks`, one list each."""
-    for block in _colex_blocks(n, k):
-        yield from block.tolist()
+def _rank_blocks(ranks: Sequence[int], k: int, n: int, size: int) -> Iterator[np.ndarray]:
+    """`_unrank` of consecutive `size`-rank slices of `ranks` (a range or a list), in order
+    (at k = 0, rank 0 is the empty tuple). A block peaks at 64 + 16 k bytes a rank, and 32
+    more per offset above 256 (tracemalloc; 11 MB at k = 18 and `_BLOCK_WORDS` ranks)."""
+    for start in range(0, len(ranks), size):
+        yield _unrank(ranks[start:start + size], k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -194,28 +186,25 @@ def _best_tuple(row: np.ndarray, n: int, ranks: Sequence[int],
     """Largest walk range over a stream of colex ranks, with its first maximizer,
     for the length-n sequence of packed bytes `row`.
 
-    Each block of ranks is unranked (`_unrank`) into tuples, whose products are the XOR
-    of r shifted words of the one sequence (`_pack_phases`), held as (words, tuples) so
-    that the running sums (`_running_sum`), max and min run down axis 0. Word w of a
-    product keeps its first clip(L - 16 w, 0, 16) bits, L = n - u_r its length; the rest
-    are set for the maximum (so the walk only falls after the product) and cleared for the
-    minimum (it only rises), and the range is read from `_word_tables` as in `_word_ranges`:
-    word 0's top and bottom include the empty prefix, so max >= 0 >= min. The first
-    maximizer in stream order wins: argmax inside a block, strict > across blocks."""
+    Each block of tuples (`_rank_blocks`) has products that are the XOR of r shifted words
+    of the one sequence (`_pack_phases`), held as (words, tuples) so that the running sums
+    (`_running_sum`), max and min run down axis 0. Word w of a product keeps its first
+    clip(L - 16 w, 0, 16) bits by `_KEEP`, L = n - u_r its length, and the range is read
+    from `_word_tables` as in `_word_ranges`: word 0's top and bottom include the empty
+    prefix, so max >= 0 >= min. The first maximizer in stream order wins: argmax inside a
+    block, strict > across blocks."""
     width = -(-n // 16)
     # in bit-offset order: entry t is the row's 16 bits from bit t, so word w of shift u is u + 16 w
     flat = _pack_phases(row[None, :], n, 2 * width)[:, 0].T.ravel()
     step_sum, _, _, top_less_sum, bottom_less_sum = _word_tables()
-    block = max(1, _BLOCK_WORDS // width)
     best, best_offsets = -1, None
-    for start in range(0, len(ranks), block):
-        offsets = _unrank(ranks[start:start + block], k, n)
+    for offsets in _rank_blocks(ranks, k, n, max(1, _BLOCK_WORDS // width)):
         lengths = n - offsets[:, -1]
         lanes = 16 * np.arange(-(-int(lengths.max()) // 16))[:, None]
         prod = flat[lanes]  # u_1 = 0
         for u in offsets.T:
             prod = prod ^ flat.take(lanes + u)
-        keep = ((1 << np.clip(lengths - lanes, 0, 16)) - 1).astype(np.uint16)
+        keep = _KEEP[np.clip(lengths - lanes, 0, 16)]
         hi_words, lo_words = prod | ~keep, prod & keep
         hi = _running_sum(step_sum.take(hi_words).astype(np.int32)) + top_less_sum.take(hi_words)
         lo = _running_sum(step_sum.take(lo_words).astype(np.int32)) + bottom_less_sum.take(lo_words)
@@ -366,6 +355,12 @@ def _word_tables() -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
+# Entry b keeps a word's first b bits. The word readers take `word | ~keep` of a product's
+# partial last word for the walk's maximum (it only falls past the steps) and `word & keep`
+# for its minimum (it only rises); keeping no bit, top[0xFFFF] = bottom[0] = 0 moves neither.
+_KEEP = ((1 << np.arange(17)) - 1).astype(np.uint16)
+
+
 def _pack_phases(rows: np.ndarray, n: int, words: int) -> np.ndarray:
     """Each packed byte row as `words` 16-bit words once per phase p < 16 (`packed[p]`
     starts at bit p): (16, rows, words). Word i of phase p is the low half of
@@ -389,11 +384,9 @@ def _word_ranges(prod: np.ndarray, length: int | np.ndarray) -> np.ndarray:
     it. A walk's maximum is max_k(T_{k-1} + hi_k) = max_k(T_k + hi_k - s_k) with T
     the word-level prefix sum, and its minimum likewise: the (sum, max prefix,
     min prefix) scan monoid (Blelloch 1990). Of the word after the whole ones
-    only the first length % 16 bits are steps; the rest are set for the maximum
-    (so the walk only falls after them) and cleared for the minimum (it only
-    rises), and with no bits left top[0xFFFF] = bottom[0] = 0 moves neither. The
-    prefix sums are int32: they cannot wrap, and on long rows numpy's int32
-    running sum measured faster than its int16 one."""
+    only the first length % 16 bits are steps, kept by `_KEEP`. The prefix sums
+    are int32: they cannot wrap, and on long rows numpy's int32 running sum
+    measured faster than its int16 one."""
     step_sum, top, bottom, top_less_sum, bottom_less_sum = _word_tables()
     full = int(length.min()) // 16 if isinstance(length, np.ndarray) else length // 16
     head = prod[:, :full]
@@ -401,9 +394,9 @@ def _word_ranges(prod: np.ndarray, length: int | np.ndarray) -> np.ndarray:
     hi = (walk + top_less_sum.take(head)).max(axis=1, initial=0)
     lo = (walk + bottom_less_sum.take(head)).min(axis=1, initial=0)
     if prod.shape[1] > full:
-        last, keep = prod[:, full], (1 << length - 16 * full) - 1
+        last, keep = prod[:, full], _KEEP[length - 16 * full]
         end = walk[:, -1] if full else 0
-        np.maximum(hi, top.take(last | (0xFFFF ^ keep)) + end, out=hi)
+        np.maximum(hi, top.take(last | ~keep) + end, out=hi)
         np.minimum(lo, bottom.take(last & keep) + end, out=lo)
     hi -= lo
     return hi
@@ -454,7 +447,7 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
 
     A product sequence is the XOR of r shifted rows of -1 bits, and on the phases of
     `_pack_phases` the shift by u is the word-aligned slice `phases[u & 15][:, u >> 4:]`.
-    Tuples that share their upper offsets (u_3, ..., u_r from `_colex_tuples`; the empty
+    Tuples that share their upper offsets (u_3, ..., u_r from `_rank_blocks`; the empty
     tuple at r = 2) and their product's whole-word count differ only in u_2 < u_3 (< n at
     r = 2), and u_2 = 16 q + p for p0 <= p < p1 is the one slice `phases[p0:p1, :, q:]`.
     So each block of u_2 values (at most `_BLOCK_WORDS` words) XORs the upper offsets'
@@ -476,13 +469,13 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
         13   0.94      1.08      0.99     0.99       0.62      0.58      0.36      0.24
         17   0.94      1.08      0.96     0.94       0.69      0.71      0.37      0.24"""
     _check_order(n, r)
-    if math.comb(n - 1, r - 1) > 10 ** 8:
-        raise ResourceLimitError(
-            f"batch kernel would enumerate {math.comb(n - 1, r - 1):.2e} tuples; "
-            "use correlation_measure_sampled per sequence instead")
+    if (tuples := math.comb(n - 1, r - 1)) > 10 ** 8:
+        raise ResourceLimitError(f"batch kernel would enumerate {tuples:.2e} tuples; use "
+                                 "correlation_measure_sampled per sequence instead")
     phases, count = _pack_phases(rows, n, n // 16 + 1), rows.shape[0]
     best = np.zeros(count, dtype=np.int32)
-    for upper in _colex_tuples(n, r - 2) if count else ():  # no rows: no blocks to size
+    blocks = _rank_blocks(range(math.comb(n - 1, r - 2)), r - 2, n, _BLOCK_WORDS) if count else ()
+    for upper in (t for block in blocks for t in block.tolist()):  # no rows: no blocks to size
         u2, stop = 1, upper[0] if upper else n
         while u2 < stop:  # a run of u_2 whose products have one whole-word count
             words = (n - (upper or (u2,))[-1]) // 16 + 1  # (n - u_r) // 16 and the spare
@@ -525,7 +518,7 @@ def _column_block(rows: int) -> int:
 def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
     """C_r of every column of an (n, rows) ±1 int8 matrix, as int32.
 
-    The tuples of `_colex_blocks` are walked in blocks of T consecutive ones, with (T, rows)
+    The tuples of `_rank_blocks` are walked in blocks of T consecutive ones, with (T, rows)
     walk, high, low and step buffers. At position j, factor i of every tuple still walking
     is row j + u_i of `cols`, gathered, and the step is their product with row j. Colex
     order keeps u_r nondecreasing, so the tuples still walking at j (u_r < n - j) are a
@@ -554,7 +547,7 @@ def _scan_columns(cols: np.ndarray, r: int) -> np.ndarray:
     size = _column_block(rows)
     state = np.zeros((4, size, rows), dtype=np.int8)  # walk, high, low, step: a slot per tuple
     best = np.zeros((size, rows), dtype=np.int8)  # per slot
-    for ranks in _colex_blocks(n, r - 1):
+    for ranks in _rank_blocks(range(math.comb(n - 1, r - 1)), r - 1, n, _BLOCK_WORDS):
         columns = ranks.T.copy()  # row i - 2: u_i of every tuple
         lengths = (n - columns[-1]).tolist()  # nonincreasing: colex order keeps u_r nondecreasing
         for start in range(0, len(lengths), size):

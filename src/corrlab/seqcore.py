@@ -140,10 +140,7 @@ class SeedSpec:
     def py_random(self) -> random.Random:
         """Stdlib generator for exact sampling over arbitrarily large integer ranges."""
         state = self._seed_sequence().generate_state(4, dtype=np.uint64)
-        seed = 0
-        for word in state:
-            seed = (seed << 64) | int(word)
-        return random.Random(seed)
+        return random.Random(int.from_bytes(state.astype(">u8").tobytes(), "big"))  # word 0 high
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)

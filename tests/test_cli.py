@@ -302,6 +302,8 @@ class TestCliContract:
         (None, ["bounds", "--check", "theoremC", "--n", "25", "--r", "1", "--exhaustive"]),
         (None, ["trend", "--n-grid", "2048,16", "--order", "2", "--samples", "4"]),
         (None, ["trend", "--n-grid", "16,16", "--order", "2", "--samples", "4"]),
+        (None, ["report", "--input", '{"experiment": "x", "config": {}, "rows": [{"n": 1, "r": 2, '
+                '"samples": 1, "seed": 0, "statistic": "s", "value": [1]}]}']),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):

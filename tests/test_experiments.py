@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -271,6 +272,38 @@ class TestReports:
     def test_json_round_trip(self):
         rep = self._sample_report()
         assert xp.parse_report(xp.emit_report(rep, "json"), "json") == rep
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 64.0), ("r", "2"), ("samples", True), ("seed", None), ("statistic", 3),
+        ("value", [1]), ("value", None), ("value", False), ("bound", "1.0"), ("verdict", None)])
+    def test_json_row_of_a_wrong_type_is_rejected(self, field, value):
+        payload = json.loads(xp.emit_report(self._sample_report(), "json"))
+        payload["rows"][0][field] = value
+        with pytest.raises(ValueError, match=f"field '{field}' has the wrong type"):
+            xp.parse_report(json.dumps(payload), "json")
+
+    def test_json_row_numbers_may_be_ints(self):
+        payload = json.loads(xp.emit_report(self._sample_report(), "json"))
+        payload["rows"][0].update(value=2, bound=3)
+        row = xp.parse_report(json.dumps(payload), "json").rows[0]
+        assert (row.value, row.bound) == (2, 3)
+
+    @pytest.mark.parametrize("column", ["n", "seed", "statistic", "value", "bound", "verdict"])
+    def test_csv_without_a_column_is_rejected(self, column):
+        lines = xp.emit_report(self._sample_report(), "csv").splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        drop = lines[header].split(",").index(column)
+        for i in range(header, len(lines)):
+            lines[i] = ",".join(cell for j, cell in enumerate(lines[i].split(",")) if j != drop)
+        with pytest.raises(ValueError, match=f"lacks the columns {column}$"):
+            xp.parse_report("\n".join(lines), "csv")
+
+    @pytest.mark.parametrize("cells", [4, 5])  # cut before its statistic, and before its value
+    def test_csv_short_row_is_rejected(self, cells):
+        lines = xp.emit_report(self._sample_report(), "csv").splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:cells])
+        with pytest.raises(ValueError):
+            xp.parse_report("\n".join(lines), "csv")
 
     def test_unknown_format(self):
         rep = self._sample_report()

@@ -77,15 +77,15 @@ class TestColexEnumeration:
                 assert [tuple(row) for row in ms._unrank(list(range(total)), k, n).tolist()] \
                     == list(orc.colex_offsets(n, k))
 
-    @pytest.mark.parametrize("block_words", [1, 3, 16])
-    def test_rank_blocks_enumerate_colex_order(self, block_words):
-        """The scans' tuples come from `_unrank` in blocks of `_BLOCK_WORDS` ranks; blocks
-        of 1, 3 and 16 ranks split the order at every point."""
-        with mock.patch.object(ms, "_BLOCK_WORDS", block_words):
-            for n in range(2, 15):
-                for k in range(n + 1):  # k = n: no tuple
-                    want = list(orc.colex_offsets(n, k)) if k else [()]
-                    assert [tuple(t) for t in ms._colex_tuples(n, k)] == want, (n, k)
+    @pytest.mark.parametrize("size", [1, 3, 16])
+    def test_rank_blocks_enumerate_colex_order(self, size):
+        """Every kernel's tuples come from `_rank_blocks`; blocks of 1, 3 and 16 ranks split
+        the order at every point."""
+        for n in range(2, 15):
+            for k in range(n + 1):  # k = n: no tuple
+                want = list(orc.colex_offsets(n, k)) if k else [()]
+                blocks = ms._rank_blocks(range(math.comb(n - 1, k)), k, n, size)
+                assert [tuple(t) for block in blocks for t in block.tolist()] == want, (n, k)
 
     def test_vector_unrank_random_ranks(self):
         rng = random.Random(5)
@@ -420,6 +420,15 @@ class TestBatchKernels:
             batch = ms.exact_values_batch(seqs, r)
             for seq, val in zip(seqs, batch):
                 assert ms.correlation_measure_exact(seq, r).value == val
+
+    def test_tuple_guard_runs_before_packing(self):
+        # C(1999, 3) ~ 1.3e9 tuples, past the batch kernel's 1e8: refused before any phase
+        # word is built
+        def refuse(*_):
+            raise AssertionError("_pack_phases ran before the tuple guard")
+        with mock.patch.object(ms, "_pack_phases", refuse):
+            with pytest.raises(ResourceLimitError, match="1.33e\\+09 tuples"):
+                ms.exact_values_batch(np.ones((1, 2000), dtype=np.int8), 4)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_no_rows_no_values(self, r):

@@ -56,7 +56,7 @@ MUTANTS = (
            "_pack_phases(rows, n, n // 16 + 1)", "_pack_phases(rows, n, -(-n // 16))",
            (BLOCKED,)),
     Mutant("rank-block-drops-last-rank", "measures.py",
-           "min(start + _BLOCK_WORDS, total)", "min(start + _BLOCK_WORDS, total) - 1",
+           "ranks[start:start + size]", "ranks[start:start + size - 1]",
            (RANK_BLOCKS,)),
     Mutant("plain-read-folds-wrong-axis", "measures.py",
            "ranges.reshape(-1, count).max(axis=0)", "ranges.reshape(count, -1).max(axis=1)",
@@ -78,7 +78,7 @@ MUTANTS = (
            "if groups < 1024 else", "if groups <= 1024 else",
            ("tests/test_measures.py::TestBatchKernels::test_range_bound_at_the_int16_edge",)),
     Mutant("range-pad-bits-not-set", "measures.py",
-           "top.take(last | (0xFFFF ^ keep))", "top.take(last)", (RANGES,)),
+           "top.take(last | ~keep)", "top.take(last)", (RANGES,)),
     Mutant("range-last-word-offset-dropped", "measures.py",
            "end = walk[:, -1] if full else 0", "end = 0", (RANGES,)),
     Mutant("range-row-words-reversed", "measures.py",
@@ -102,6 +102,8 @@ MUTANTS = (
     # _best_tuple's max at 0 and its min at 0 (the old initial=0) is equivalent and left out.
     Mutant("best-tuple-lane-off-by-one", "measures.py",
            "flat.take(lanes + u)", "flat.take(lanes + u + 1)", (BEST_TUPLE,)),
+    Mutant("keep-table-off-by-one", "measures.py",
+           "lengths - lanes", "lengths - lanes - 1", (BEST_TUPLE,)),
     Mutant("running-sum-skips-last-pass", "measures.py",
            "while d < len(x):", "while 2 * d < len(x):",
            ("tests/test_properties.py::test_running_sum_is_cumsum",)),

@@ -7,7 +7,10 @@ BASE_SRC is a directory holding a `corrlab` package (say the `src/` of an export
 another commit). It is imported as `corrlab_base` next to this checkout's `src/corrlab`,
 imported as `corrlab`. For each shape the two sides run alternately (base first on even
 repeats), every pair of results must be equal, and the last line of stdout is one JSON
-object whose `ratios` are this checkout's fastest call over the base's fastest call.
+object whose `ratios` are this checkout's fastest call over the base's fastest call, and
+whose `median_ratios` are the medians over repeats of each repeat's own ratio (its two
+back-to-back calls). The spread between the two shows how far the machine's noise moves
+one ratio.
 
 Shapes:
     words ROWSxN rR     measures._scan_words on np.random.default_rng(0) packed rows
@@ -25,6 +28,7 @@ import argparse
 import importlib.util
 import json
 import re
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -90,7 +94,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     head, base = load("corrlab", ROOT / "src"), load("corrlab_base", args.base.resolve())
-    ratios, fastest = {}, {}
+    ratios, medians, fastest = {}, {}, {}
     for shape in args.shapes:
         sides = {"head": call(head, shape), "base": call(base, shape)}
         times = {side: [] for side in sides}
@@ -104,10 +108,12 @@ def main(argv: list[str]) -> int:
                 raise SystemExit(f"{shape}: values differ")
         fastest[shape] = {side: min(t) for side, t in times.items()}
         ratios[shape] = round(fastest[shape]["head"] / fastest[shape]["base"], 3)
+        medians[shape] = round(statistics.median(
+            head / base for head, base in zip(times["head"], times["base"])), 3)
         print(f"# {shape}: {ratios[shape]} ({fastest[shape]['head']:.4g} s over "
-              f"{fastest[shape]['base']:.4g} s)", flush=True)
+              f"{fastest[shape]['base']:.4g} s), median per repeat {medians[shape]}", flush=True)
     print(json.dumps({"base": str(args.base), "repeats": args.repeats, "ratios": ratios,
-                      "fastest_s": fastest}))
+                      "median_ratios": medians, "fastest_s": fastest}))
     return 0
 
 
