@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import time
+import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -83,15 +84,16 @@ class ExperimentConfig:
 
 @dataclass
 class StatRow:
-    """One (n, r, statistic) cell of a report."""
+    """One (n, r, statistic) cell of a report. Its fields, in order and with
+    their types, are the columns of both report formats."""
 
     n: int
     r: int
     samples: int
     seed: int
     statistic: str
-    value: float
-    bound: float | None = None
+    value: int | float
+    bound: int | float | None = None
     verdict: str = "info"
 
 
@@ -341,90 +343,83 @@ def check_extension_difference(cfg: ExperimentConfig, workers: int = 1) -> Exper
 # serialization
 
 
-# The type of each report row field: a number may be an int or a float, not a bool
-_ROW_TYPES = {"n": int, "r": int, "samples": int, "seed": int, "statistic": str,
-              "value": (int, float), "bound": (int, float, type(None)), "verdict": str}
-
-
-def _float_text(x: float | None) -> str:
-    return "" if x is None else format(x, ".17g")
+_ROW_TYPES = typing.get_type_hints(StatRow)  # the columns; a number is an int or a float
+_VERDICTS = ("info", "pass", "fail")
 
 
 def emit_report(report: ExperimentReport, fmt: str, include_timing: bool = False) -> str:
     """Render a report as CSV or JSON. Timing is volatile and excluded by
     default so that identical configurations emit identical bytes."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
+    payload = {"experiment": report.experiment, "config": report.config,
+               "rows": [asdict(row) for row in report.rows], "notes": list(report.notes)}
+    if include_timing and report.wall_time_s is not None:
+        payload["wall_time_s"] = report.wall_time_s
     if fmt == "json":
-        payload = {
-            "experiment": report.experiment,
-            "config": report.config,
-            "rows": [asdict(row) for row in report.rows],
-            "notes": list(report.notes),
-        }
-        if include_timing and report.wall_time_s is not None:
-            payload["wall_time_s"] = report.wall_time_s
         return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(f"# experiment {report.experiment}\n")
-        buf.write(f"# config {json.dumps(report.config)}\n")
-        for note in report.notes:
-            buf.write(f"# note {note}\n")
-        if include_timing and report.wall_time_s is not None:
-            buf.write(f"# wall_time_s {report.wall_time_s:.3f}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "r", "samples", "seed", "statistic", "value",
-                         "bound", "verdict"])
-        for row in report.rows:
-            writer.writerow([row.n, row.r, row.samples, row.seed, row.statistic,
-                             _float_text(row.value), _float_text(row.bound),
-                             row.verdict])
-        return buf.getvalue()
-    raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
+    buf = io.StringIO()
+    buf.write(f"# experiment {report.experiment}\n# config {json.dumps(report.config)}\n")
+    buf.writelines(f"# note {note}\n" for note in payload["notes"])
+    if "wall_time_s" in payload:
+        buf.write(f"# wall_time_s {payload['wall_time_s']:.3f}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_ROW_TYPES.keys())
+    for row in payload["rows"]:  # a number in 17 digits, which read back exactly
+        writer.writerow(value if kind in (int, str) else "" if value is None
+                        else format(value, ".17g")
+                        for value, kind in zip(row.values(), _ROW_TYPES.values()))
+    return buf.getvalue()
+
+
+def _csv_payload(text: str) -> dict:
+    """The JSON payload of a CSV report: its `#` lines, and each cell read as
+    its column's type (a number as a float, an empty one as None)."""
+    payload: dict = {"experiment": "", "config": {}, "notes": []}
+    data: list[str] = []
+    for line in text.splitlines():
+        if line.startswith("# experiment "):
+            payload["experiment"] = line[len("# experiment "):]
+        elif line.startswith("# config "):
+            payload["config"] = json.loads(line[len("# config "):])
+        elif line.startswith("# note "):
+            payload["notes"].append(line[len("# note "):])
+        elif line and not line.startswith("#"):
+            data.append(line)
+    header, *records = [*csv.reader(data)] or [[]]
+    if missing := [key for key in _ROW_TYPES if key not in header]:
+        raise ValueError(f"CSV report lacks the columns {', '.join(missing)}")
+    kinds = [_ROW_TYPES.get(key, str) for key in header]
+    payload["rows"] = [{key: cell if kind is str else int(cell) if kind is int
+                        else float(cell) if cell else None
+                        for key, kind, cell in zip(header, kinds, record, strict=True)}
+                       for record in records]  # a row of more or fewer cells raises
+    return payload
 
 
 def parse_report(text: str, fmt: str) -> ExperimentReport:
-    """Inverse of emit_report (timing, when present, is not restored)."""
-    if fmt == "json":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("a JSON report must be an object")
-        payload.setdefault("notes", [])
-        for key, kind in (("experiment", str), ("config", dict), ("rows", list), ("notes", list)):
-            if not isinstance(payload.get(key), kind):
-                raise ValueError(f"JSON report field {key!r} is missing or not a {kind.__name__}")
-        try:
-            rows = [StatRow(**row) for row in payload["rows"]]
-        except TypeError as exc:  # a row that is not an object, or lacks or adds a field
-            raise ValueError(f"invalid JSON report row: {exc}") from None
-        for row in rows:
-            for key, value in vars(row).items():
-                if isinstance(value, bool) or not isinstance(value, _ROW_TYPES[key]):
-                    raise ValueError(f"JSON report row field {key!r} has the wrong type: {value!r}")
-        return ExperimentReport(payload["experiment"], payload["config"], rows, payload["notes"])
-    if fmt == "csv":
-        experiment = ""
-        config: dict = {}
-        notes: list[str] = []
-        data_lines: list[str] = []
-        for line in text.splitlines():
-            if line.startswith("# experiment "):
-                experiment = line[len("# experiment "):]
-            elif line.startswith("# config "):
-                config = json.loads(line[len("# config "):])
-            elif line.startswith("# note "):
-                notes.append(line[len("# note "):])
-            elif line.startswith("#"):
-                continue
-            elif line:
-                data_lines.append(line)
-        records = csv.DictReader(data_lines, restval="")  # a short row's missing cells are empty
-        if missing := [key for key in _ROW_TYPES if key not in (records.fieldnames or ())]:
-            raise ValueError(f"CSV report lacks the columns {', '.join(missing)}")
-        rows = [StatRow(n=int(rec["n"]), r=int(rec["r"]), samples=int(rec["samples"]),
-                        seed=int(rec["seed"]), statistic=rec["statistic"],
-                        value=float(rec["value"]),
-                        bound=float(rec["bound"]) if rec["bound"] else None,
-                        verdict=rec["verdict"])
-                for rec in records]
-        return ExperimentReport(experiment, config, rows, notes)
-    raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
+    """Inverse of emit_report (timing, when present, is not restored). Every row
+    must hold each field of `StatRow`, of its type, a number finite and a
+    verdict one of `_VERDICTS`."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
+    payload = json.loads(text) if fmt == "json" else _csv_payload(text)
+    if not isinstance(payload, dict):
+        raise ValueError("a JSON report must be an object")
+    payload.setdefault("notes", [])
+    for key, kind in (("experiment", str), ("config", dict), ("rows", list), ("notes", list)):
+        if not isinstance(payload.get(key), kind):
+            raise ValueError(f"report field {key!r} is missing or not a {kind.__name__}")
+    for row in payload["rows"]:
+        if not isinstance(row, dict) or row.keys() != _ROW_TYPES.keys():
+            raise ValueError(f"a report row must hold the fields {', '.join(_ROW_TYPES)},"
+                             f" got {row!r}")
+        for key, value in row.items():
+            if isinstance(value, bool) or not isinstance(value, _ROW_TYPES[key]):
+                raise ValueError(f"report row field {key!r} has the wrong type: {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"report row field {key!r} is not finite: {value!r}")
+        if row["verdict"] not in _VERDICTS:
+            raise ValueError(f"report row verdict {row['verdict']!r} is not one of {_VERDICTS}")
+    rows = [StatRow(**row) for row in payload["rows"]]
+    return ExperimentReport(payload["experiment"], payload["config"], rows, payload["notes"])

@@ -304,6 +304,12 @@ class TestCliContract:
         (None, ["trend", "--n-grid", "16,16", "--order", "2", "--samples", "4"]),
         (None, ["report", "--input", '{"experiment": "x", "config": {}, "rows": [{"n": 1, "r": 2, '
                 '"samples": 1, "seed": 0, "statistic": "s", "value": [1]}]}']),
+        (None, ["report", "--input", '{"experiment": "x", "config": {}, "rows": [{"n": 1, "r": 2, '
+                '"samples": 1, "seed": 0, "statistic": "s", "value": NaN, "bound": null, '
+                '"verdict": "info"}]}']),
+        (None, ["report", "--input", '{"experiment": "x", "config": {}, "rows": [{"n": 1, "r": 2, '
+                '"samples": 1, "seed": 0, "statistic": "s", "value": 0.5, "bound": null, '
+                '"verdict": "maybe"}]}']),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):

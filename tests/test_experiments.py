@@ -298,12 +298,36 @@ class TestReports:
         with pytest.raises(ValueError, match=f"lacks the columns {column}$"):
             xp.parse_report("\n".join(lines), "csv")
 
-    @pytest.mark.parametrize("cells", [4, 5])  # cut before its statistic, and before its value
+    # cut before its statistic, its value, its bound and its verdict, and padded by one cell
+    @pytest.mark.parametrize("cells", [4, 5, 6, 7, 9])
     def test_csv_short_row_is_rejected(self, cells):
         lines = xp.emit_report(self._sample_report(), "csv").splitlines()
-        lines[-1] = ",".join(lines[-1].split(",")[:cells])
+        lines[-1] = ",".join((lines[-1].split(",") + ["info"])[:cells])
         with pytest.raises(ValueError):
             xp.parse_report("\n".join(lines), "csv")
+
+    @pytest.mark.parametrize("fmt", xp.FORMATS)
+    @pytest.mark.parametrize("field,value,match", [
+        ("verdict", "maybe", "verdict 'maybe' is not one of"),
+        ("value", math.nan, "'value' is not finite"), ("value", math.inf, "'value' is not finite"),
+        ("value", -math.inf, "'value' is not finite"), ("bound", math.inf, "'bound' is not finite")])
+    def test_row_of_unknown_verdict_or_nonfinite_number_is_rejected(self, fmt, field, value,
+                                                                     match):
+        rep = self._sample_report()
+        setattr(rep.rows[-1], field, value)  # written as NaN, Infinity, nan or inf
+        with pytest.raises(ValueError, match=match):
+            xp.parse_report(xp.emit_report(rep, fmt), fmt)
+
+    @pytest.mark.parametrize("field", ["bound", "verdict", "extra"])  # two dropped, one added
+    def test_json_row_that_lacks_or_adds_a_field_is_rejected(self, field):
+        payload = json.loads(xp.emit_report(self._sample_report(), "json"))
+        row = payload["rows"][0]
+        if field in row:
+            del row[field]
+        else:
+            row[field] = 1
+        with pytest.raises(ValueError, match="must hold the fields"):
+            xp.parse_report(json.dumps(payload), "json")
 
     def test_unknown_format(self):
         rep = self._sample_report()

@@ -12,7 +12,7 @@ n = 80 and to the oracle up to n = 20; blocks of the column walk are tied to the
 one-tuple walk at n = 2..16, r = 2..8 with up to 2,000 tuples, and the doubling running
 sum to cumsum on 0..70 rows) and the search is
 derandomized, so the module runs in well under a minute and every run draws the
-same examples.
+same examples. Reports of valid rows round-trip through both report formats.
 """
 
 import math
@@ -22,6 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrlab import experiments as xp
 from corrlab import measures as ms
 from corrlab import oracles as orc
 from corrlab import seqcore as sc
@@ -304,3 +305,28 @@ def test_blocked_column_walk_equals_one_tuple_walk(case):
     if n <= 10 and r <= 5:
         for col, value in zip(cols.T[:2], got):
             assert value == orc.naive_correlation_measure(sc.BinarySequence.from_array(col), r)
+
+
+# Report text: commas and quotes, and no character that str.splitlines breaks on (a
+# report line cannot hold one) nor NUL (the csv reader of Python 3.10 refuses it)
+LINE_TEXT = st.text(st.sampled_from(',"# ') | st.characters().filter(
+    lambda c: c != "\0" and len(f"a{c}a".splitlines()) == 1), max_size=12)
+NUMBERS = st.integers(-2 ** 53, 2 ** 53) | st.floats(-2.0 ** 53, 2.0 ** 53)
+REPORTS = st.builds(
+    xp.ExperimentReport, LINE_TEXT,
+    st.dictionaries(LINE_TEXT, st.integers() | LINE_TEXT, max_size=3),
+    st.lists(st.builds(xp.StatRow, *[st.integers(-2 ** 53, 2 ** 53)] * 4, LINE_TEXT, NUMBERS,
+                       st.none() | NUMBERS, st.sampled_from(["info", "pass", "fail"])),
+             max_size=4),
+    st.lists(LINE_TEXT, max_size=3))
+
+
+@PROPERTY
+@given(REPORTS)
+def test_reports_round_trip_in_both_formats(rep):
+    """Ints and finite floats up to 2^53 in magnitude, None bounds and every verdict
+    parse back equal, and the parsed report emits the same text."""
+    for fmt in xp.FORMATS:
+        text = xp.emit_report(rep, fmt)
+        assert xp.parse_report(text, fmt) == rep
+        assert xp.emit_report(xp.parse_report(text, fmt), fmt) == text

@@ -1,4 +1,5 @@
-"""Mutation check for the fast kernels: every mutant must fail one of its tests.
+"""Mutation check for the fast kernels and the report reader: every mutant must
+fail one of its tests.
 
     python tools/mutants.py            # run every mutant (about 170 s on a loaded 2-core VM)
     python tools/mutants.py NAME ...   # run the named mutants only
@@ -37,6 +38,7 @@ SAMPLER = "tests/test_seqcore.py::TestPackedSampler"
 RANK_DRAWS = "tests/test_measures.py::TestRankDraws::test_bulk_draw_equals_randrange_loop"
 RANGES = "tests/test_measures.py::TestBatchKernels::test_range_batch"
 RANK_BLOCKS = "tests/test_measures.py::TestColexEnumeration::test_rank_blocks_enumerate_colex_order"
+REPORTS = "tests/test_experiments.py::TestReports"
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,12 @@ MUTANTS = (
     Mutant("window-starts-one-early", "measures.py",
            "(min(hi, lo) + 1, ", "(min(hi, lo), ",
            ("tests/test_measures.py::TestCorrelationMeasureExact::test_witness_replay_random",)),
+    Mutant("csv-row-cell-count-unchecked", "experiments.py",
+           "zip(header, kinds, record, strict=True)", "zip(header, kinds, record)",
+           (f"{REPORTS}::test_csv_short_row_is_rejected",)),
+    Mutant("report-number-finiteness-unchecked", "experiments.py",
+           "and not math.isfinite(value)", "and False",
+           (f"{REPORTS}::test_row_of_unknown_verdict_or_nonfinite_number_is_rejected",)),
 )
 
 
