@@ -27,7 +27,7 @@ import numpy as np
 
 from . import measures
 from .measures import log_binomial
-from .seqcore import _random_bits
+from .seqcore import _random_bits, _random_blocks
 from .seqcore import random_sequence  # noqa: F401  (perfbench/tracing.py patches this name)
 
 FORMATS = ("csv", "json")
@@ -282,8 +282,8 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     """Walk-range tails against (log n) exp(-lambda^2/(2n)) at threshold
     lambda (1+delta), and against the dyadic-form bound when configured.
 
-    The ranges are read from the sampler's packed rows (`_random_bits`, then
-    `measures._packed_ranges`); no ±1 matrix is built."""
+    A grid point's packed rows are allocated whole (too many samples fail before any draw), and
+    `measures._packed_ranges` reads each block as `_random_blocks` yields it, still in cache."""
     t0 = time.perf_counter()
     if not cfg.lambda_grid:
         raise ValueError("range-tail check needs a nonempty lambda_grid")
@@ -295,8 +295,10 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     notes: list[str] = []
     p = cfg.dyadic_p
     for ci, n in enumerate(cfg.n_grid):
-        bits = _random_bits(n, cfg.master_seed, range(ci * cfg.samples, (ci + 1) * cfg.samples))
-        ranges = measures._packed_ranges(bits, n)
+        bits = np.empty((cfg.samples, -(-n // 8)), dtype=np.uint8)
+        streams = range(ci * cfg.samples, (ci + 1) * cfg.samples)
+        ranges = np.concatenate([measures._packed_ranges(block, n)
+                                 for block in _random_blocks(bits, n, cfg.master_seed, streams)])
         # (statistic, threshold factor on lambda, coefficient of exp(-lambda^2/(2n)))
         tails = [("tail_freq", 1.0 + cfg.delta, math.log(n))]
         if p is not None and _dyadic_form_ok(n, p):
@@ -398,9 +400,9 @@ def _csv_payload(text: str) -> dict:
 
 
 def parse_report(text: str, fmt: str) -> ExperimentReport:
-    """Inverse of emit_report (timing, when present, is not restored). Every row
-    must hold each field of `StatRow`, of its type, a number finite and a
-    verdict one of `_VERDICTS`."""
+    """Inverse of emit_report (timing, when present, is not restored). Every number
+    in `config` must be finite, and every row must hold each field of `StatRow`, of
+    its type, a number finite and a verdict one of `_VERDICTS`."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
     payload = json.loads(text) if fmt == "json" else _csv_payload(text)
@@ -410,6 +412,7 @@ def parse_report(text: str, fmt: str) -> ExperimentReport:
     for key, kind in (("experiment", str), ("config", dict), ("rows", list), ("notes", list)):
         if not isinstance(payload.get(key), kind):
             raise ValueError(f"report field {key!r} is missing or not a {kind.__name__}")
+    json.dumps(payload["config"], allow_nan=False)  # raises ValueError on a NaN or infinity
     for row in payload["rows"]:
         if not isinstance(row, dict) or row.keys() != _ROW_TYPES.keys():
             raise ValueError(f"a report row must hold the fields {', '.join(_ROW_TYPES)},"

@@ -310,15 +310,19 @@ class TestCliContract:
         (None, ["report", "--input", '{"experiment": "x", "config": {}, "rows": [{"n": 1, "r": 2, '
                 '"samples": 1, "seed": 0, "statistic": "s", "value": 0.5, "bound": null, '
                 '"verdict": "maybe"}]}']),
+        (None, ["report", "--input", '{"experiment": "x", "config": {"a": NaN}, "rows": []}',
+                "--to", "json"]),
+        (None, ["report", "--input", '{"experiment": "x", "config": {"a": 1e999}, "rows": []}',
+                "--to", "csv"]),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):
         if env_seed is not None:
             monkeypatch.setenv("CORRLAB_SEED", env_seed)
-        if "10000000" in argv:  # stands in for a request too large to allocate
+        if "10000000" in argv:  # refused at once, also where the allocation is overcommitted
             def refuse(*_):
                 raise MemoryError("Unable to allocate 9.09 TiB for an array")
-            monkeypatch.setattr(experiments, "_random_bits", refuse)
+            monkeypatch.setattr(experiments, "_random_blocks", refuse)
         if argv[1] in ("--input", "--file"):  # the text after the first flag goes to a file
             path = tmp_path / "input.txt"
             path.write_text(argv[2])

@@ -39,6 +39,7 @@ RANK_DRAWS = "tests/test_measures.py::TestRankDraws::test_bulk_draw_equals_randr
 RANGES = "tests/test_measures.py::TestBatchKernels::test_range_batch"
 RANK_BLOCKS = "tests/test_measures.py::TestColexEnumeration::test_rank_blocks_enumerate_colex_order"
 REPORTS = "tests/test_experiments.py::TestReports"
+TAIL = "tests/test_experiments.py::TestRangeTail"
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,10 @@ MUTANTS = (
            ("tests/test_properties.py::test_running_sum_is_cumsum",)),
     Mutant("seed-hash-wrong-multiplier", "seqcore.py", "0x931E8875", "0x931E8876",
            (f"{SAMPLER}::test_keys_are_seed_sequence_states",)),
-    Mutant("draw-reads-low-bit", "seqcore.py",
-           "block.view(np.uint8) >> 7", "block.view(np.uint8) & 1",
+    Mutant("draw-reads-low-bit", "seqcore.py", "top >>= 7", "top &= 1",
            (f"{SAMPLER}::test_rows_are_numpy_generator_draws",)),
+    Mutant("block-last-byte-unmasked", "seqcore.py", "&= 0xFF >> -n % 8", "&= 0xFF",
+           (f"{TAIL}::test_block_reads_equal_the_whole_matrix_read",)),
     Mutant("sampler-counter-carried-over", "seqcore.py", 'state["state"]["key"] = key',
            'state["state"].update(key=key, counter=philox.state["state"]["counter"])',
            (f"{SAMPLER}::test_rows_are_numpy_generator_draws",)),
