@@ -27,7 +27,7 @@ import numpy as np
 
 from . import measures
 from .measures import log_binomial
-from .seqcore import _random_bits, _random_blocks
+from .seqcore import _random_bits
 from .seqcore import random_sequence  # noqa: F401  (perfbench/tracing.py patches this name)
 
 FORMATS = ("csv", "json")
@@ -282,8 +282,8 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     """Walk-range tails against (log n) exp(-lambda^2/(2n)) at threshold
     lambda (1+delta), and against the dyadic-form bound when configured.
 
-    A grid point's packed rows are allocated whole (too many samples fail before any draw), and
-    `measures._packed_ranges` reads each block as `_random_blocks` yields it, still in cache."""
+    A grid point's rows are sampled whole (`_random_bits`, so too many samples fail before any
+    draw), then `measures._packed_ranges` reads them in blocks; no ±1 matrix is built."""
     t0 = time.perf_counter()
     if not cfg.lambda_grid:
         raise ValueError("range-tail check needs a nonempty lambda_grid")
@@ -295,10 +295,8 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     notes: list[str] = []
     p = cfg.dyadic_p
     for ci, n in enumerate(cfg.n_grid):
-        bits = np.empty((cfg.samples, -(-n // 8)), dtype=np.uint8)
         streams = range(ci * cfg.samples, (ci + 1) * cfg.samples)
-        ranges = np.concatenate([measures._packed_ranges(block, n)
-                                 for block in _random_blocks(bits, n, cfg.master_seed, streams)])
+        ranges = measures._packed_ranges(_random_bits(n, cfg.master_seed, streams), n)
         # (statistic, threshold factor on lambda, coefficient of exp(-lambda^2/(2n)))
         tails = [("tail_freq", 1.0 + cfg.delta, math.log(n))]
         if p is not None and _dyadic_form_ok(n, p):
@@ -351,7 +349,8 @@ _VERDICTS = ("info", "pass", "fail")
 
 def emit_report(report: ExperimentReport, fmt: str, include_timing: bool = False) -> str:
     """Render a report as CSV or JSON. Timing is volatile and excluded by
-    default so that identical configurations emit identical bytes."""
+    default so that identical configurations emit identical bytes. CSV refuses
+    text that `str.splitlines` breaks, which its reader could not read back."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
     payload = {"experiment": report.experiment, "config": report.config,
@@ -360,6 +359,9 @@ def emit_report(report: ExperimentReport, fmt: str, include_timing: bool = False
         payload["wall_time_s"] = report.wall_time_s
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
+    cells = [value for row in payload["rows"] for value in row.values() if isinstance(value, str)]
+    if any("".join(t.splitlines()) != t for t in [report.experiment, *payload["notes"], *cells]):
+        raise ValueError("a CSV report cannot hold a line break in its name, a note or a cell")
     buf = io.StringIO()
     buf.write(f"# experiment {report.experiment}\n# config {json.dumps(report.config)}\n")
     buf.writelines(f"# note {note}\n" for note in payload["notes"])

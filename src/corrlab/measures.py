@@ -385,8 +385,8 @@ def _word_ranges(prod: np.ndarray, length: int | np.ndarray) -> np.ndarray:
     the word-level prefix sum, and its minimum likewise: the (sum, max prefix,
     min prefix) scan monoid (Blelloch 1990). Of the word after the whole ones
     only the first length % 16 bits are steps, kept by `_KEEP`. The prefix sums
-    are int32: they cannot wrap, and on long rows numpy's int32 running sum
-    measured faster than its int16 one."""
+    are int32, which cannot wrap: int16 ones took 0.97-0.98 of their time at the
+    tail and trend shapes, too little for a rule on the length that keeps them safe."""
     step_sum, top, bottom, top_less_sum, bottom_less_sum = _word_tables()
     full = int(length.min()) // 16 if isinstance(length, np.ndarray) else length // 16
     head = prod[:, :full]
@@ -403,14 +403,18 @@ def _word_ranges(prod: np.ndarray, length: int | np.ndarray) -> np.ndarray:
 
 
 def _packed_ranges(rows: np.ndarray, length: int) -> np.ndarray:
-    """Walk range of each row of -1 bits packed little-endian into bytes, as int32.
-
-    Read as 16-bit words, the rows are phase 0 of `_pack_phases`, so `_word_ranges`
-    takes them as they are: a view when the byte width is even, and a copy with
-    one zero byte appended when it is odd."""
-    if rows.shape[1] % 2:
-        rows = np.pad(rows, ((0, 0), (0, 1)))
-    return _word_ranges(rows.view("<u2"), length)
+    """Walk range of each row of -1 bits packed little-endian into bytes, as int32, read by
+    `_word_ranges` in slices of about `_BLOCK_WORDS` words, so that its temporaries stay in
+    cache. As 16-bit words the rows are phase 0 of `_pack_phases`: a view when the byte
+    width is even, and a copy with one zero byte appended when it is odd."""
+    step = max(1, _BLOCK_WORDS // -(-rows.shape[1] // 2))
+    out = np.empty(len(rows), dtype=np.int32)
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        if block.shape[1] % 2:
+            block = np.pad(block, ((0, 0), (0, 1)))
+        out[i:i + step] = _word_ranges(block.view("<u2"), length)
+    return out
 
 
 def _running_sum(x: np.ndarray) -> np.ndarray:
@@ -589,8 +593,7 @@ def exact_values_batch(seqs, r: int, workers: int = 1) -> np.ndarray:
 
 def range_values_batch(mat: np.ndarray) -> np.ndarray:
     """Walk range for every row of a ±1 step matrix, as int32: its -1 bits packed into
-    bytes and read by `_packed_ranges`, which also reads the Monte Carlo tail's
-    sampled rows (`experiments.check_range_tail`) without any ±1 matrix, and
-    one sequence's own payload bytes (`range_of_walk`)."""
+    bytes and read by `_packed_ranges`, which also reads the tail's sampled rows
+    (`experiments.check_range_tail`) and one sequence's bytes (`range_of_walk`)."""
     mat = _as_matrix(mat)
     return _packed_ranges(_packed(mat), mat.shape[1])

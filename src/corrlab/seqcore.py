@@ -7,8 +7,8 @@ popcounts (the bit path of `product_sequence`, `correlation_sum` and
 and three helpers here are the one home of that format: `_pm1` checks entries are
 ±1 and gives them as int8, `_packed` packs ±1 rows into bytes, and `_symbols`
 unpacks byte rows into ±1 int8. Random rows come from one packed sampler,
-`_random_blocks`, which reproduces numpy's seeded Philox draws bit for bit and
-yields them a row block at a time; `experiments` reads its rows as they are.
+`_random_bits`, which reproduces numpy's seeded Philox draws bit for bit; the
+Monte Carlo cells and the tail of `experiments` read its rows as they are.
 """
 
 from __future__ import annotations
@@ -148,8 +148,9 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy: hashmix
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# bytes of Philox output per row block, measured on the 5,000 x 4,096 tail (2-core VM):
-_RAW_BLOCK_BYTES = 1 << 19  # 0.91 of the whole-matrix read's time; 2 MB blocks read 0.94
+# Philox bytes per row block. `_random_bits` at 5,000 x 4,096 (2-core VM, medians of 100 calls,
+# twice) took 0.99-1.01 of its 512 KB time at 256 KB and 1 MB, and 1.01-1.04 at 2 MB.
+_RAW_BLOCK_BYTES = 1 << 19
 
 
 def _hasher(const: int, mult: int):
@@ -199,9 +200,11 @@ def _philox_keys(master_seed: int, streams: range) -> np.ndarray:
     return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
 
 
-def _random_blocks(out: np.ndarray, n: int, master_seed: int, streams: range):
-    """Fill `out`, (len(streams), ceil(n/8)) uint8, with the rows of `_random_bits`, yielding
-    each row block of `out` once it is packed and masked, so it can be read while in cache.
+def _random_bits(n: int, master_seed: int, streams: range) -> np.ndarray:
+    """The -1 bits of random_sequence(n, SeedSpec(master_seed, s)) for each s in
+    `streams`, one row each, packed little-endian: (len(streams), ceil(n/8)) uint8,
+    zero past bit n. The output is allocated first, so a row count too large to
+    hold fails before any key is hashed.
 
     This is numpy's `Generator(Philox(seed_seq)).integers(0, 2, size=n, dtype=np.uint8)`
     without a Generator per row. Philox is counter-based, so one bit generator
@@ -210,7 +213,8 @@ def _random_blocks(out: np.ndarray, n: int, master_seed: int, streams: range):
     The bounded uint8 draw with range 2 reads those words as little-endian bytes
     and takes the top bit of byte i as draw i (Lemire's multiply, byte * 2 >> 8,
     never rejects). Output is buffered in row blocks of about `_RAW_BLOCK_BYTES`."""
-    nbytes = out.shape[1]
+    nbytes = -(-n // 8)
+    out = np.empty((len(streams), nbytes), dtype=np.uint8)
     keys = _philox_keys(master_seed, streams).tolist()
     philox = np.random.Philox()
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
@@ -225,19 +229,8 @@ def _random_blocks(out: np.ndarray, n: int, master_seed: int, streams: range):
             row[:] = philox.random_raw(nbytes)
         top = block.view(np.uint8)
         top >>= 7
-        rows = out[b0:b0 + len(block)]
-        rows[:] = np.packbits(top, axis=1, bitorder="little")
-        rows[:, -1] &= 0xFF >> -n % 8  # keeps the last byte's n % 8 bits, or all 8
-        yield rows
-
-
-def _random_bits(n: int, master_seed: int, streams: range) -> np.ndarray:
-    """The -1 bits of random_sequence(n, SeedSpec(master_seed, s)) for each s in `streams`, one
-    row each, packed little-endian: (len(streams), ceil(n/8)) uint8, zero past bit n. It is
-    allocated before `_random_blocks` fills it, so too many rows fail before any key is hashed."""
-    out = np.empty((len(streams), -(-n // 8)), dtype=np.uint8)
-    for _ in _random_blocks(out, n, master_seed, streams):
-        pass
+        out[b0:b0 + step] = np.packbits(top, axis=1, bitorder="little")
+    out[:, -1] &= 0xFF >> -n % 8  # keeps the last byte's n % 8 bits, or all 8
     return out
 
 

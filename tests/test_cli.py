@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from corrlab import cli, experiments
+from corrlab import cli, experiments, seqcore
 
 
 def run_cli(capsys, *argv):
@@ -314,6 +314,9 @@ class TestCliContract:
                 "--to", "json"]),
         (None, ["report", "--input", '{"experiment": "x", "config": {"a": 1e999}, "rows": []}',
                 "--to", "csv"]),
+        (None, ["report", "--input", '{"experiment": "x", "config": {}, "rows": [{"n": 1, "r": 2, '
+                '"samples": 1, "seed": 0, "statistic": "a\\nb", "value": 0.5, "bound": null, '
+                '"verdict": "info"}]}', "--to", "csv"]),  # the CSV reader would read back "ab"
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):
@@ -322,7 +325,7 @@ class TestCliContract:
         if "10000000" in argv:  # refused at once, also where the allocation is overcommitted
             def refuse(*_):
                 raise MemoryError("Unable to allocate 9.09 TiB for an array")
-            monkeypatch.setattr(experiments, "_random_blocks", refuse)
+            monkeypatch.setattr(seqcore, "_philox_keys", refuse)
         if argv[1] in ("--input", "--file"):  # the text after the first flag goes to a file
             path = tmp_path / "input.txt"
             path.write_text(argv[2])

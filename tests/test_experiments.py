@@ -203,8 +203,8 @@ class TestRangeTail:
 
     def test_every_lambda_checked_before_sampling(self, monkeypatch):
         calls = []
-        real = xp._random_blocks
-        monkeypatch.setattr(xp, "_random_blocks", lambda out, *a: calls.append(a) or real(out, *a))
+        real = xp._random_bits
+        monkeypatch.setattr(xp, "_random_bits", lambda *a: calls.append(a) or real(*a))
         cfg = xp.ExperimentConfig(n_grid=(1024, 4096), samples=10, lambda_grid=(70.0,))
         with pytest.raises(ValueError, match=r"lambda=70 rejected: .* = 128$"):
             xp.check_range_tail(cfg)  # 70 > 2 sqrt(1024) but not 2 sqrt(4096)
@@ -212,8 +212,8 @@ class TestRangeTail:
 
     def test_one_sample_draw_per_grid_point(self, monkeypatch):
         calls = []
-        real = xp._random_blocks
-        monkeypatch.setattr(xp, "_random_blocks", lambda out, *a: calls.append(a) or real(out, *a))
+        real = xp._random_bits
+        monkeypatch.setattr(xp, "_random_bits", lambda *a: calls.append(a) or real(*a))
         ms._word_tables()  # cached before `_symbols` is patched out
         for name in ("_pack_phases", "_as_matrix", "_symbols"):  # the tail builds no ±1 matrix
             monkeypatch.setattr(ms, name, None)
@@ -229,34 +229,6 @@ class TestRangeTail:
         with pytest.raises(MemoryError):
             xp.check_range_tail(cfg)  # 512 PiB of packed rows, refused by the allocator at once
         assert calls == []
-
-    @pytest.mark.parametrize("n", [4097, 1000, 64])  # 513, 125 and 8 bytes; n % 8 = 1, 0, 0
-    def test_block_reads_equal_the_whole_matrix_read(self, monkeypatch, n):
-        """The ranges read block by block as the sampler yields them equal one read of the
-        whole matrix, over blocks of three rows, and every block holds numpy's draws."""
-        monkeypatch.setattr(sc, "_RAW_BLOCK_BYTES", 3 * 8 * -(-n // 8))
-        real, blocks, ranges = ms._packed_ranges, [], []
-
-        def read(rows, length):
-            blocks.append(rows.copy())
-            ranges.append(real(rows, length))
-            return ranges[-1]
-
-        monkeypatch.setattr(ms, "_packed_ranges", read)
-        lam = 2.5 * math.sqrt(n)
-        cfg = xp.ExperimentConfig(n_grid=(n, n), samples=10, master_seed=5, lambda_grid=(lam,),
-                                  delta=0.0)  # a repeated grid point; blocks of 3, 3, 3, 1 rows
-        rep = xp.check_range_tail(cfg)
-        assert [len(rows) for rows in blocks] == [3, 3, 3, 1] * 2
-        for ci, stream in enumerate((0, 10)):
-            streams = range(stream, stream + 10)
-            want = real(sc._random_bits(n, 5, streams), n)
-            assert np.array_equal(np.concatenate(ranges[4 * ci:4 * ci + 4]), want)
-            draws = [sc.SeedSpec(5, s).generator().integers(0, 2, n, dtype=np.uint8)
-                     for s in streams]
-            assert np.array_equal(np.concatenate(blocks[4 * ci:4 * ci + 4]),
-                                  np.packbits(draws, axis=1, bitorder="little"))
-            assert rep.rows[ci].value == float((want > lam).mean())
 
     def test_dyadic_recognition(self):
         lams = (3 * math.sqrt(1024),)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corrlab import ResourceLimitError
+from corrlab import experiments as xp
 from corrlab import measures as ms
 from corrlab import oracles as orc
 from corrlab import seqcore as sc
@@ -463,6 +464,37 @@ class TestBatchKernels:
             got = ms.range_values_batch(np.stack([s.to_array() for s in seqs]))
             assert got.dtype == np.int32
             assert [orc.naive_range(s) for s in seqs] == list(got)
+
+    @pytest.mark.parametrize("n", [4097, 1000, 64])  # 513, 125 and 8 bytes: odd and even widths
+    def test_block_reads_equal_the_whole_matrix_read(self, n):
+        """`_packed_ranges` over blocks of 1 row wider than a block, and of 3 rows (the last
+        of 1), equals one `_word_ranges` read of the whole matrix and the prefix-sum oracle,
+        and so does the tail report's frequency; zero rows read as no ranges."""
+        rows, words = sc._random_bits(n, 9, range(10)), -(-n // 16)
+        whole = ms._word_ranges(np.pad(rows, ((0, 0), (0, rows.shape[1] % 2))).view("<u2"), n)
+        walks = np.cumsum(sc._symbols(rows, n), axis=1, dtype=np.int32)
+        oracle = np.maximum(walks.max(axis=1), 0) - np.minimum(walks.min(axis=1), 0)
+        assert whole.tolist() == oracle.tolist()
+        real, sizes = ms._word_ranges, []
+
+        def read(prod, length):
+            sizes.append(len(prod))
+            return real(prod, length)
+
+        for block_words, want in ((words - 1, [1] * 10), (3 * words, [3, 3, 3, 1])):
+            sizes.clear()
+            with mock.patch.object(ms, "_BLOCK_WORDS", block_words), \
+                    mock.patch.object(ms, "_word_ranges", read):
+                got, empty = ms._packed_ranges(rows, n), ms._packed_ranges(rows[:0], n)
+            assert sizes == want
+            assert got.dtype == np.int32 and got.tolist() == whole.tolist()
+            assert empty.dtype == np.int32 and empty.shape == (0,)
+        lam = 2.1 * math.sqrt(n)
+        cfg = xp.ExperimentConfig(n_grid=(n,), samples=10, master_seed=9, lambda_grid=(lam,),
+                                  delta=0.0)
+        with mock.patch.object(ms, "_BLOCK_WORDS", 3 * words):
+            rep = xp.check_range_tail(cfg)
+        assert rep.rows[0].value == float((whole > lam).mean()) > 0
 
     def test_matches_naive_values_all(self):
         for n in range(2, 11):

@@ -19,7 +19,8 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrlab import experiments as xp
@@ -307,10 +308,10 @@ def test_blocked_column_walk_equals_one_tuple_walk(case):
             assert value == orc.naive_correlation_measure(sc.BinarySequence.from_array(col), r)
 
 
-# Report text: commas and quotes, and no character that str.splitlines breaks on (a
-# report line cannot hold one) nor NUL (the csv reader of Python 3.10 refuses it)
+# Report text: commas, quotes and characters that str.splitlines breaks on (which a CSV
+# report refuses), and no NUL (the csv reader of Python 3.10 refuses it)
 LINE_TEXT = st.text(st.sampled_from(',"# ') | st.characters().filter(
-    lambda c: c != "\0" and len(f"a{c}a".splitlines()) == 1), max_size=12)
+    lambda c: c != "\0"), max_size=12)
 NUMBERS = st.integers(-2 ** 53, 2 ** 53) | st.floats(-2.0 ** 53, 2.0 ** 53)
 REPORTS = st.builds(
     xp.ExperimentReport, LINE_TEXT,
@@ -323,10 +324,18 @@ REPORTS = st.builds(
 
 @PROPERTY
 @given(REPORTS)
+@example(xp.ExperimentReport("x", {}, [xp.StatRow(1, 2, 1, 0, "a\nb", 0.5)]))  # read back "ab"
+@example(xp.ExperimentReport("x", {}, [], ["a\u2028b"]))
 def test_reports_round_trip_in_both_formats(rep):
     """Ints and finite floats up to 2^53 in magnitude, None bounds and every verdict
-    parse back equal, and the parsed report emits the same text."""
+    parse back equal, and the parsed report emits the same text; a CSV report refuses
+    text holding a line break, which its reader could not read back."""
+    texts = [rep.experiment, *rep.notes, *(row.statistic for row in rep.rows)]
     for fmt in xp.FORMATS:
+        if fmt == "csv" and any(len(f"a{text}a".splitlines()) > 1 for text in texts):
+            with pytest.raises(ValueError, match="line break"):
+                xp.emit_report(rep, fmt)
+            continue
         text = xp.emit_report(rep, fmt)
         assert xp.parse_report(text, fmt) == rep
         assert xp.emit_report(xp.parse_report(text, fmt), fmt) == text

@@ -37,9 +37,9 @@ BEST_TUPLE = "tests/test_properties.py::test_best_tuple_is_first_maximizer"
 SAMPLER = "tests/test_seqcore.py::TestPackedSampler"
 RANK_DRAWS = "tests/test_measures.py::TestRankDraws::test_bulk_draw_equals_randrange_loop"
 RANGES = "tests/test_measures.py::TestBatchKernels::test_range_batch"
+BLOCK_READS = "tests/test_measures.py::TestBatchKernels::test_block_reads_equal_the_whole_matrix_read"
 RANK_BLOCKS = "tests/test_measures.py::TestColexEnumeration::test_rank_blocks_enumerate_colex_order"
 REPORTS = "tests/test_experiments.py::TestReports"
-TAIL = "tests/test_experiments.py::TestRangeTail"
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,10 @@ MUTANTS = (
     Mutant("range-last-word-offset-dropped", "measures.py",
            "end = walk[:, -1] if full else 0", "end = 0", (RANGES,)),
     Mutant("range-row-words-reversed", "measures.py",
-           'rows.view("<u2")', 'rows.view("<u2")[:, ::-1]', (RANGES,)),
+           'block.view("<u2")', 'block.view("<u2")[:, ::-1]', (RANGES,)),
+    Mutant("range-block-repeats-edge-row", "measures.py",
+           "block = rows[i:i + step]", "block = rows[i - (i > 0):i - (i > 0) + step]",
+           (BLOCK_READS,)),
     Mutant("empty-matrix-accepted", "measures.py", "if not mat.shape[1]:", "if False:",
            ("tests/test_measures.py::TestBatchKernels::test_rejects_entries_other_than_pm1",)),
     Mutant("phase-shift-off-by-one", "measures.py",
@@ -115,7 +118,7 @@ MUTANTS = (
     Mutant("draw-reads-low-bit", "seqcore.py", "top >>= 7", "top &= 1",
            (f"{SAMPLER}::test_rows_are_numpy_generator_draws",)),
     Mutant("block-last-byte-unmasked", "seqcore.py", "&= 0xFF >> -n % 8", "&= 0xFF",
-           (f"{TAIL}::test_block_reads_equal_the_whole_matrix_read",)),
+           (f"{SAMPLER}::test_rows_across_row_blocks",)),
     Mutant("sampler-counter-carried-over", "seqcore.py", 'state["state"]["key"] = key',
            'state["state"].update(key=key, counter=philox.state["state"]["counter"])',
            (f"{SAMPLER}::test_rows_are_numpy_generator_draws",)),
