@@ -283,7 +283,10 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     lambda (1+delta), and against the dyadic-form bound when configured.
 
     A grid point's rows are sampled whole (`_random_bits`, so too many samples fail before any
-    draw), then `measures._packed_ranges` reads them in blocks; no ±1 matrix is built."""
+    draw), then `measures._packed_ranges` reads them in blocks; no ±1 matrix is built. Its
+    floor is the lowest threshold over every lambda and tail (clipped to n, since lambda
+    (1+delta) may be infinite), so rows that the popcount bound keeps under it are not read
+    exactly, and every `ranges > threshold` count is that of the exact ranges."""
     t0 = time.perf_counter()
     if not cfg.lambda_grid:
         raise ValueError("range-tail check needs a nonempty lambda_grid")
@@ -295,8 +298,6 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
     notes: list[str] = []
     p = cfg.dyadic_p
     for ci, n in enumerate(cfg.n_grid):
-        streams = range(ci * cfg.samples, (ci + 1) * cfg.samples)
-        ranges = measures._packed_ranges(_random_bits(n, cfg.master_seed, streams), n)
         # (statistic, threshold factor on lambda, coefficient of exp(-lambda^2/(2n)))
         tails = [("tail_freq", 1.0 + cfg.delta, math.log(n))]
         if p is not None and _dyadic_form_ok(n, p):
@@ -304,6 +305,9 @@ def check_range_tail(cfg: ExperimentConfig, workers: int = 1) -> ExperimentRepor
         elif p is not None:
             notes.append(f"n={n} lacks the dyadic form j*2^m with "
                          f"2^{p} < j <= 2^{p + 1}; dyadic comparison skipped")
+        floor = math.floor(min(min(cfg.lambda_grid) * min(f for _, f, _ in tails), n))
+        streams = range(ci * cfg.samples, (ci + 1) * cfg.samples)
+        ranges = measures._packed_ranges(_random_bits(n, cfg.master_seed, streams), n, floor)
         for lam in cfg.lambda_grid:
             for statistic, factor, coef in tails:
                 freq = float((ranges > lam * factor).mean())

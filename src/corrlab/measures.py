@@ -27,7 +27,7 @@ from .seqcore import BinarySequence, SeedSpec, _packed, _pm1, _symbols
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
 _BLOCK_WORDS = 1 << 15  # words per tuple block: _best_tuple (fastest of 2^13..2^16), _scan_words
 _COLUMN_CELLS = 1 << 17  # tuples x rows per _scan_columns block, where 8 tuples or more fit
-_BOUND_WORDS = 9  # product words from which _scan_words reads a pair only past its bound
+_BOUND_WORDS = 9  # row words from which _scan_words, _packed_ranges read only past the bound
 EXACT_LOG_DIGIT_CAP = 5000  # decimal digits above which binomial logs use log-gamma, not big ints
 
 
@@ -402,18 +402,35 @@ def _word_ranges(prod: np.ndarray, length: int | np.ndarray) -> np.ndarray:
     return hi
 
 
-def _packed_ranges(rows: np.ndarray, length: int) -> np.ndarray:
-    """Walk range of each row of -1 bits packed little-endian into bytes, as int32, read by
-    `_word_ranges` in slices of about `_BLOCK_WORDS` words, so that its temporaries stay in
-    cache. As 16-bit words the rows are phase 0 of `_pack_phases`: a view when the byte
-    width is even, and a copy with one zero byte appended when it is odd."""
-    step = max(1, _BLOCK_WORDS // -(-rows.shape[1] // 2))
+def _packed_ranges(rows: np.ndarray, length: int, floor: int = 0) -> np.ndarray:
+    """max(walk range, `floor`) of each row of -1 bits packed little-endian into bytes, as
+    int32, read by `_word_ranges` in slices of about `_BLOCK_WORDS` words, so that its
+    temporaries stay in cache. As 16-bit words the rows are phase 0 of `_pack_phases`: a
+    view when the byte width is even, and a copy with one zero byte appended when it is odd.
+
+    Where `floor` > 0 and the rows hold `_BOUND_WORDS` words or more, a slice's rows are
+    padded with a 0x5555 word to whole 32-bit groups where the word count is odd, and only
+    those whose `_range_bound` exceeds the floor are read; the rest read as the floor. So a
+    caller that asks only whether ranges pass a threshold at or above the floor (the tail,
+    `experiments.check_range_tail`) reads few rows exactly."""
+    words = -(-rows.shape[1] // 2)
+    bounded = floor > 0 and words >= _BOUND_WORDS
+    width = 2 * (words + (words & 1 if bounded else 0))  # bytes
+    step = max(1, _BLOCK_WORDS // words)
     out = np.empty(len(rows), dtype=np.int32)
     for i in range(0, len(rows), step):
         block = rows[i:i + step]
-        if block.shape[1] % 2:
-            block = np.pad(block, ((0, 0), (0, 1)))
-        out[i:i + step] = _word_ranges(block.view("<u2"), length)
+        if block.shape[1] < width:  # a zero byte to whole words, a 0x5555 word to whole groups
+            padded = np.zeros((len(block), width), dtype=np.uint8)
+            padded[:, :block.shape[1]] = block
+            padded[:, 2 * words:] = 0x55
+            block = padded
+        prod = block.view("<u2")
+        ranges = out[i:i + step]
+        ranges[:] = floor
+        read = np.flatnonzero(_range_bound(prod) > floor) if bounded else slice(None)
+        if not bounded or read.size:
+            ranges[read] = np.maximum(_word_ranges(prod[read], length), floor)
     return out
 
 
@@ -430,14 +447,16 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
 
 def _range_bound(prod: np.ndarray) -> np.ndarray:
     """Upper bound on the walk range of each row of 16-bit words padded with 0x5555 words to
-    whole 32-bit groups. Group g holding c_g set bits, the walk ends group g at
-    T_g = 32 (g + 1) - 2 (c_0 + ... + c_g); j steps into the group it is within j of
-    T_{g-1} and 32 - j of T_g, so within 16 of m_g = (T_{g-1} + T_g) / 2 = T_g + c_g - 16,
-    and its range is at most max m - min m + 32. A product's walk is a prefix of its padded
-    one, whose range is no smaller, so neither the bits past its length nor the pad need a
-    mask. The sums run down the (groups, pairs) transpose, in int16 below 1024 groups: walk
-    -T_g / 2 and mid -m_g stay within 32 groups, and T moves at most 32 a group, so
-    m_g - m_g' <= 32 (g - g') and the bound is at most 32 groups < 2^15."""
+    whole 32-bit groups: `_scan_words` reads a product, and `_packed_ranges` a row, only
+    where it exceeds the row's best or the floor. Group g holding c_g set bits, the walk
+    ends group g at T_g = 32 (g + 1) - 2 (c_0 + ... + c_g); j steps into the group it is
+    within j of T_{g-1} and 32 - j of T_g, so within 16 of m_g = (T_{g-1} + T_g) / 2 =
+    T_g + c_g - 16, and its range is at most max m - min m + 32. A product's walk is a
+    prefix of its padded one, whose range is no smaller, so neither the bits past its
+    length nor the pad need a mask. The sums run down the (groups, pairs) transpose, in
+    int16 below 1024 groups: walk -T_g / 2 and mid -m_g stay within 32 groups, and T moves
+    at most 32 a group, so m_g - m_g' <= 32 (g - g') and the bound is at most 32 groups
+    < 2^15."""
     groups = prod.shape[1] // 2
     walk = np.zeros((groups + 1, prod.shape[0]), dtype=np.int16 if groups < 1024 else np.int32)
     walk[1:] = (np.bitwise_count(prod.view(np.uint32)).view(np.int8) - 16).T  # c_g - 16

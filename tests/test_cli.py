@@ -53,6 +53,16 @@ class TestMeasure:
         record = json.loads(out.strip().splitlines()[1])
         assert record["exact"] is False and record["value"] >= 1
 
+    def test_sampled_mode_past_float_range(self, capsys, tmp_path):
+        # C(1099, 549) tuples: ranks past 2^1024, read as Python ints
+        path = tmp_path / "long.txt"
+        path.write_text("+-" * 550 + "\n")
+        code, out, _ = run_cli(capsys, "measure", "--file", str(path), "--order", "550",
+                               "--sampled", "--budget", "10", "--seed", "0")
+        assert code == 0
+        record = json.loads(out.strip().splitlines()[1])
+        assert record["exact"] is False and record["value"] >= 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--file", "/nonexistent", "--order", "2")
         assert code == 2 and "error" in err
@@ -188,6 +198,14 @@ class TestTailCommand:
                                "--lambda-mults", "2.5,3.0", "--seed", "6")
         assert code == 0
         assert "tail_freq" in out
+
+    @pytest.mark.parametrize("n", [64, 4096])  # rows under `_BOUND_WORDS` words, and over
+    def test_infinite_threshold_counts_no_row(self, capsys, n):
+        # lambda (1 + delta) overflows to inf; the reader's floor is clipped to n
+        code, out, _ = run_cli(capsys, "tail", "--n", str(n), "--samples", "10",
+                               "--lambda-mults", "1e300", "--delta", "1e10")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[-3:] == ["0", "0", "pass"]
 
     def test_rejects_small_lambda(self, capsys):
         code, _, err = run_cli(capsys, "tail", "--n", "256", "--samples", "50",
@@ -411,6 +429,10 @@ PINNED_FILE = "+-++-+---++-+-+++--+\n++--+-+-+++---+-\n"
                   "2.05,2.2,2.5", "--seed", "3"],  # ceil(n/8) odd: padded words; tails nonzero
                  0, "4a597f1615175b5b4ad1d23db2b2ed42e032fa85bead7e109579abc8b519280c",
                  id="tail-odd-byte-width"),
+    pytest.param(["tail", "--n", "4096", "--samples", "5000", "--lambda-mults", "2.1,2.5,3.0",
+                  "--seed", "0"],  # the benchmark's tail call, whose digest it checks too
+                 0, "b75c006b83a0dd6b183d370df16a2d3e812c0e4ac96a786bf862edab6af5cb8b",
+                 id="tail-bench"),
     pytest.param(["oracle", "--check", "naive", "--file", "SEQS", "--order", "3"],
                  0, "71ea04f0900ad8c09d2f8a7855b7bb917d1c836a7ba83503f92f0b529c2aff8f",
                  id="oracle-naive"),

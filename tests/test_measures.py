@@ -375,6 +375,17 @@ class TestRankDraws:
         assert ms.correlation_measure_sampled(seq, r, budget, sc.SeedSpec(1, 0)) == \
             ms._result(seq, ranks, r - 1, exact=False)
 
+    def test_sampled_measure_past_float_range(self):
+        # C(1099, 549) is past 2^1024, so no rank of this space converts to a float
+        seq, r, seed = sc.random_sequence(1100, sc.SeedSpec(5, 0)), 550, sc.SeedSpec(1, 0)
+        total = math.comb(1099, r - 1)
+        ranks = randrange_ranks(seed.py_random(), total, 3, True)
+        tuples = [orc.colex_unrank(q, r - 1) for q in ranks]
+        ranges = [ms.range_of_walk(ms.product_sequence(seq, ms.ShiftTuple(t))) for t in tuples]
+        got = ms.correlation_measure_sampled(seq, r, 3, seed)
+        assert (got.value, got.witness_tuple.offsets) == \
+            (max(ranges), tuples[ranges.index(max(ranges))])
+
 
 class TestNormalization:
     def test_values(self):
@@ -495,6 +506,41 @@ class TestBatchKernels:
         with mock.patch.object(ms, "_BLOCK_WORDS", 3 * words):
             rep = xp.check_range_tail(cfg)
         assert rep.rows[0].value == float((whole > lam).mean()) > 0
+
+    # byte widths 513, 512, 125, 19 and 18 (odd and even; 257, 256, 63, 10 and 9 words, odd
+    # and even), and 16 and 8 (rows under `_BOUND_WORDS` words, read whole)
+    @pytest.mark.parametrize("n", [4097, 4096, 1000, 152, 144, 128, 64])
+    def test_floor_reads_max_of_range_and_floor(self, n):
+        """`_packed_ranges(rows, n, f)` is max(range, f) at floors 0, 1, the median range, n
+        and n + 1, in one block and in blocks of 3 rows."""
+        rows, words = sc._random_bits(n, 11, range(40)), -(-n // 16)
+        plain = ms._packed_ranges(rows, n)
+        for floor in (0, 1, int(np.median(plain)), n, n + 1):
+            for block_words in (ms._BLOCK_WORDS, 3 * words):
+                with mock.patch.object(ms, "_BLOCK_WORDS", block_words):
+                    got = ms._packed_ranges(rows, n, floor)
+                assert got.dtype == np.int32
+                assert got.tolist() == np.maximum(plain, floor).tolist()
+
+    @pytest.mark.parametrize("floor", [511, 512])
+    def test_floor_at_an_all_clear_row(self, floor):
+        # an all-clear row at n = 32 k walks +1 all the way, and its bound is its range, n
+        n, rng = 512, np.random.default_rng(83)
+        rows = np.stack([np.zeros(n // 8), rng.integers(0, 256, n // 8)]).astype(np.uint8)
+        assert ms._range_bound(rows.view("<u2"))[0] == n
+        assert ms._packed_ranges(rows, n, floor).tolist() == \
+            np.maximum(ms._packed_ranges(rows, n), floor).tolist() == [n, floor]
+
+    def test_floor_reads_few_rows_of_the_bench_tail(self):
+        # 500 rows of the bench's tail shape: at its lowest threshold, 2.1 sqrt(n) (1 + 1),
+        # the popcount bound sends fewer than one row in a hundred to `_word_ranges`
+        n = 4096
+        rows = sc._random_bits(n, 0, range(500))
+        floor = math.floor(2.1 * math.sqrt(n) * 2)
+        with mock.patch.object(ms, "_word_ranges", wraps=ms._word_ranges) as read:
+            got = ms._packed_ranges(rows, n, floor)
+        assert sum(call.args[0].shape[0] for call in read.call_args_list) < 5
+        assert got.tolist() == np.maximum(ms._packed_ranges(rows, n), floor).tolist()
 
     def test_matches_naive_values_all(self):
         for n in range(2, 11):

@@ -9,7 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_pairs_times_src_against_itself():
-    shapes = ["exh 6 [2,4]", "sampled 64 r3 50", "tail 20x1000"]
+    shapes = ["exh 6 [2,4]", "sampled 64 r3 50", "tail 20x1000", "tail 5000x4096 d0"]
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "pairs.py"), str(ROOT / "src"),
                            *shapes, "--repeats", "2"],
                           cwd=ROOT / "tools", capture_output=True, text=True, check=True)

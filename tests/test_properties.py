@@ -9,8 +9,9 @@ n up to n = 20, r = 4; the popcount bound on every product is tied to the
 unfiltered read at n = 2..80, r = 2..5, and at n = 1000 and 4097, r = 2, with
 1..4 rows, 0..2 spare bytes and random bits past n, to the column scan up to
 n = 80 and to the oracle up to n = 20; blocks of the column walk are tied to the
-one-tuple walk at n = 2..16, r = 2..8 with up to 2,000 tuples, and the doubling running
-sum to cumsum on 0..70 rows) and the search is
+one-tuple walk at n = 2..16, r = 2..8 with up to 2,000 tuples, the doubling running
+sum to cumsum on 0..70 rows, and the sampled witness to the first maximizer in stream
+order at n = 3..24, r = 2..4 with up to 300 tuples) and the search is
 derandomized, so the module runs in well under a minute and every run draws the
 same examples. Reports of valid rows round-trip through both report formats.
 """
@@ -246,6 +247,36 @@ def test_best_tuple_is_first_maximizer(case):
     with mock.patch.object(ms, "_BLOCK_WORDS", block_words):  # 16 words: blocks of 3 to 16 rows
         got = ms._best_tuple(seq._bytes(), seq.length, ranks, k)
     assert got == (max(ranges), tuples[ranges.index(max(ranges))])
+
+
+@st.composite
+def sampled_case(draw):
+    """A seeded random sequence of n = 3..24 (where many tuples tie at the maximum), an
+    order r = 2..4, a tuple budget from 1 to twice the space, at most 300 tuples (drawn
+    without replacement up to half the space, with repeats above it, the whole space as a
+    range at or past it), the draw's seed and a block size (16 words: 8 or 16 tuples)."""
+    n, seed = draw(st.integers(3, 24)), draw(st.integers(0, 2 ** 32))
+    r = draw(st.integers(2, min(4, n)))
+    total = math.comb(n - 1, r - 1)
+    budget = draw(st.integers(1, 2 * total if total <= 150 else 300))
+    return (sc.random_sequence(n, sc.SeedSpec(seed, 1)), r, budget, seed,
+            draw(st.sampled_from([16, 1 << 15])))
+
+
+@PROPERTY
+@given(sampled_case())
+def test_sampled_witness_is_first_in_stream(case):
+    """The sampled measure's value and witness are the first maximizer of its drawn ranks
+    in stream order, read one tuple at a time, also where blocks of 8 tuples tie."""
+    seq, r, budget, seed, block_words = case
+    total = math.comb(seq.length - 1, r - 1)
+    ranks = (range(total) if budget >= total else
+             ms._draw_ranks(sc.SeedSpec(seed, 0).py_random(), total, budget, budget <= total // 2))
+    tuples = [orc.colex_unrank(q, r - 1) for q in ranks]
+    ranges = [ms.range_of_walk(ms.product_sequence(seq, ms.ShiftTuple(t))) for t in tuples]
+    with mock.patch.object(ms, "_BLOCK_WORDS", block_words):
+        got = ms.correlation_measure_sampled(seq, r, budget, sc.SeedSpec(seed, 0))
+    assert (got.value, got.witness_tuple.offsets) == (max(ranges), tuples[ranges.index(max(ranges))])
 
 
 @PROPERTY

@@ -39,6 +39,8 @@ RANK_DRAWS = "tests/test_measures.py::TestRankDraws::test_bulk_draw_equals_randr
 RANGES = "tests/test_measures.py::TestBatchKernels::test_range_batch"
 BLOCK_READS = "tests/test_measures.py::TestBatchKernels::test_block_reads_equal_the_whole_matrix_read"
 RANK_BLOCKS = "tests/test_measures.py::TestColexEnumeration::test_rank_blocks_enumerate_colex_order"
+FLOOR = "tests/test_measures.py::TestBatchKernels::test_floor_reads_max_of_range_and_floor"
+SAMPLED_STREAM = "tests/test_properties.py::test_sampled_witness_is_first_in_stream"
 REPORTS = "tests/test_experiments.py::TestReports"
 
 
@@ -89,6 +91,14 @@ MUTANTS = (
     Mutant("range-block-repeats-edge-row", "measures.py",
            "block = rows[i:i + step]", "block = rows[i - (i > 0):i - (i > 0) + step]",
            (BLOCK_READS,)),
+    Mutant("tail-bound-skips-one-above-floor", "measures.py",
+           "_range_bound(prod) > floor", "_range_bound(prod) > floor + 1",
+           ("tests/test_measures.py::TestBatchKernels::test_floor_at_an_all_clear_row",)),
+    Mutant("tail-skipped-rows-read-zero", "measures.py",
+           "ranges[:] = floor", "ranges[:] = 0", (FLOOR,)),
+    Mutant("tail-floor-from-highest-lambda", "experiments.py",
+           "min(cfg.lambda_grid)", "max(cfg.lambda_grid)",
+           ("tests/test_cli.py::test_subcommand_stdout_bytes_pinned",)),
     Mutant("empty-matrix-accepted", "measures.py", "if not mat.shape[1]:", "if False:",
            ("tests/test_measures.py::TestBatchKernels::test_rejects_entries_other_than_pm1",)),
     Mutant("phase-shift-off-by-one", "measures.py",
@@ -110,6 +120,8 @@ MUTANTS = (
            "flat.take(lanes + u)", "flat.take(lanes + u + 1)", (BEST_TUPLE,)),
     Mutant("keep-table-off-by-one", "measures.py",
            "lengths - lanes", "lengths - lanes - 1", (BEST_TUPLE,)),
+    Mutant("sampled-tie-keeps-later-block", "measures.py",
+           "if ranges[i] > best:", "if ranges[i] >= best:", (SAMPLED_STREAM,)),
     Mutant("running-sum-skips-last-pass", "measures.py",
            "while d < len(x):", "while 2 * d < len(x):",
            ("tests/test_properties.py::test_running_sum_is_cumsum",)),

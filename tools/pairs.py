@@ -20,9 +20,9 @@ Shapes:
                         sequence (value and witness)
     sampled N rR B      measures.correlation_measure_sampled on that sequence, B tuples
                         drawn at SeedSpec(0) (value and witness)
-    tail ROWSxN         experiments.check_range_tail at n = N with ROWS samples at seed 0
-                        and lambda 2.1, 2.5 and 3.0 sqrt(N), as `corrlab tail` runs it
-                        (the emitted CSV report)
+    tail ROWSxN [dD]    experiments.check_range_tail at n = N with ROWS samples at seed 0,
+                        lambda 2.1, 2.5 and 3.0 sqrt(N) and delta D (1 if not given), as
+                        `corrlab tail` runs it (the emitted CSV report)
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ DEFAULT_SHAPES = (
     "words 40x2048 r2", "words 200x512 r2", "words 200x512 r3", "words 500x4096 r2",
     "words 200x16384 r2", "words 4096x16 r2", "words 4096x16 r3", "evb all14 r4",
     "exh 10 [2,4,6]", "exh 12 [2,4,6,8]", "exh 14 [2,4,6,8]", "exh 15 [2,4,6]",
-    "exh 16 [2,4,6,8]", "exh 18 [2]", "best 256 r3", "sampled 256 r6 10000", "tail 5000x4096",
+    "exh 16 [2,4,6,8]", "exh 18 [2]", "best 256 r3", "sampled 256 r6 10000",
+    "tail 5000x4096", "tail 5000x4096 d0",
 )
 
 
@@ -84,10 +85,10 @@ def call(lib, shape: str):
         seq, r, budget = sequence(lib, int(m[1])), int(m[2]), int(m[3])
         seed = lib.seqcore.SeedSpec(0)
         return lambda: lib.measures.correlation_measure_sampled(seq, r, budget, seed).to_dict()
-    if m := re.fullmatch(r"tail (\d+)x(\d+)", shape):
-        samples, n = map(int, m.groups())
+    if m := re.fullmatch(r"tail (\d+)x(\d+)(?: d([\d.]+))?", shape):
+        samples, n, delta = int(m[1]), int(m[2]), float(m[3] or 1)
         xp = lib.experiments
-        cfg = xp.ExperimentConfig(n_grid=(n,), samples=samples,
+        cfg = xp.ExperimentConfig(n_grid=(n,), samples=samples, delta=delta,
                                   lambda_grid=tuple(c * math.sqrt(n) for c in (2.1, 2.5, 3.0)))
         return lambda: xp.emit_report(xp.check_range_tail(cfg), "csv")
     raise SystemExit(f"unknown shape {shape!r}")
