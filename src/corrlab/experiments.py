@@ -27,7 +27,7 @@ import numpy as np
 
 from . import measures
 from .measures import log_binomial
-from .seqcore import _random_bits
+from .seqcore import SeedSpec, _random_bits
 from .seqcore import random_sequence  # noqa: F401  (perfbench/tracing.py patches this name)
 
 FORMATS = ("csv", "json")
@@ -60,6 +60,7 @@ class ExperimentConfig:
             raise ValueError("n_grid must be nonempty")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        SeedSpec(self.master_seed)  # the master seed rule: in [0, 2^64)
         if any(n < 2 for n in self.n_grid):
             raise ValueError("all grid lengths must be >= 2")
         if self.r < 2 or self.r_max < 2:

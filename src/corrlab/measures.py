@@ -14,6 +14,7 @@ log with exp, which fixes the base.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -273,30 +274,16 @@ def correlation_measure_sampled(a: BinarySequence, r: int, tuple_budget: int, se
 
 def _draw_ranks(rng: random.Random, total: int, budget: int, distinct: bool) -> list[int]:
     """The first `budget` values (the first `budget` distinct ones if `distinct`) of
-    repeated rng.randrange(total), for total >= 2, from bulk getrandbits calls.
-
-    randrange draws getrandbits(b), b = total.bit_length(), until the value is below
-    total. getrandbits(b) takes m = ceil(b/32) 32-bit Mersenne Twister words, the
-    first in the low bits, and shifts the last one right by 32 m - b;
-    getrandbits(32 m) returns the same m words unshifted. The words are uint64 while
-    b <= 64 and Python ints in object arrays beyond. Extra words are drawn when
-    short; the generator is not used again, so the surplus is harmless."""
-    b = total.bit_length()
-    per = -(-b // 32)  # words per getrandbits(b)
-    dtype = np.uint64 if b <= 64 else object
-    shifts = np.array([32 * i for i in range(per)], dtype=dtype)
-    ranks = np.empty(0, dtype=dtype)
+    repeated rng.randrange(total), for total >= 2, by the calls randrange makes:
+    getrandbits(b), b = total.bit_length(), until the value is below total. A dict
+    keeps first occurrences in draw order; each pass draws the ranks still missing."""
+    draws = filter(total.__gt__, map(rng.getrandbits, itertools.repeat(total.bit_length())))
+    if not distinct:
+        return list(itertools.islice(draws, budget))
+    ranks: dict[int, None] = {}
     while len(ranks) < budget:
-        # draws expected for the ranks still missing (each is kept w.p. total / 2^b), plus a margin
-        count = ((budget - len(ranks)) << b) // total * 17 // 16 + 64
-        words = np.frombuffer(rng.getrandbits(32 * per * count).to_bytes(4 * per * count, "little"),
-                              dtype="<u4").astype(dtype).reshape(count, per)
-        words[:, -1] >>= 32 * per - b
-        draws = (words << shifts).sum(axis=1)
-        ranks = np.concatenate([ranks, draws[draws < total]])
-        if distinct:
-            ranks = ranks[np.sort(np.unique(ranks, return_index=True)[1])]
-    return ranks[:budget].tolist()
+        ranks |= dict.fromkeys(itertools.islice(draws, budget - len(ranks)))
+    return list(ranks)
 
 
 def replay_witness(a: BinarySequence, result: CorrelationResult) -> int:

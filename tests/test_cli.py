@@ -335,6 +335,9 @@ class TestCliContract:
         (None, ["report", "--input", '{"experiment": "x", "config": {}, "rows": [{"n": 1, "r": 2, '
                 '"samples": 1, "seed": 0, "statistic": "a\\nb", "value": 0.5, "bound": null, '
                 '"verdict": "info"}]}', "--to", "csv"]),  # the CSV reader would read back "ab"
+        (None, ["trend", "--n-grid", "64", "--samples", "2", "--seed", "18446744073709551616"]),
+        (None, ["tail", "--n", "64", "--samples", "2", "--seed", "-1"]),
+        ("-1", ["tail", "--n", "64", "--samples", "2"]),
     ])
     def test_bad_input_exits_2_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                                  env_seed, argv):

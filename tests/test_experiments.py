@@ -83,6 +83,9 @@ class TestConfig:
         for key in ("delta", "slack"):  # a negative threshold factor or slack
             with pytest.raises(ValueError, match=key):
                 xp.ExperimentConfig(n_grid=(64,), **{key: -1.0})
+        for seed in (-1, 2 ** 64):  # no SeedSpec names them
+            with pytest.raises(ValueError, match="master_seed"):
+                xp.ExperimentConfig(n_grid=(64,), master_seed=seed)
 
     def test_negative_dyadic_p_rejected_up_front(self):
         with pytest.raises(ValueError, match="dyadic_p"):

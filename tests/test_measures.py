@@ -348,13 +348,15 @@ def randrange_ranks(rng, total, budget, distinct):
 
 class TestRankDraws:
     # bit lengths 3, 20, 32, 33 (2^32 itself), 34 (n = 256, r = 6), 64, then past 2^64:
-    # 65 (2^64 itself and one more), 96, 97 and 133 (10^40)
+    # 65 (2^64 itself and one more), 96, 97 and 133 (10^40); 15 (C(30, 4), where 20,000
+    # ranks are drawn with replacement) and 1,094 (C(1099, 549), past 2^1024)
     @pytest.mark.parametrize("total", [5, 2 ** 20 - 1, 2 ** 32 - 1, 2 ** 32, math.comb(255, 5),
                                        2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 96 - 1,
-                                       2 ** 96 + 1, 10 ** 40])
+                                       2 ** 96 + 1, 10 ** 40, math.comb(30, 4),
+                                       pytest.param(math.comb(1099, 549), id="C(1099,549)")])
     def test_bulk_draw_equals_randrange_loop(self, total):
         for seed in range(4):
-            for budget in (1, 2, 3, 1000):
+            for budget in (1, 2, 3, 1000, 20000):
                 for distinct in (True, False):
                     if distinct and budget > total // 2:
                         continue

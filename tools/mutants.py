@@ -137,13 +137,11 @@ MUTANTS = (
     Mutant("sampler-keeps-output-buffer", "seqcore.py", "philox.state = state",
            'philox.state = {**state, **{key: philox.state[key] for key in ("buffer", '
            '"buffer_pos")}}', (f"{SAMPLER}::test_rows_are_numpy_generator_draws",)),
-    Mutant("distinct-ranks-not-deduplicated", "measures.py",
-           "ranks = ranks[np.sort(np.unique(ranks, return_index=True)[1])]", "ranks = ranks",
-           (RANK_DRAWS,)),
-    Mutant("rank-high-word-shift", "measures.py",
-           "32 * i for i in range(per)", "31 * i for i in range(per)", (RANK_DRAWS,)),
-    Mutant("rank-last-word-shift-off-by-one", "measures.py",
-           "32 * per - b", "32 * per - b + 1", (RANK_DRAWS,)),
+    Mutant("distinct-ranks-not-deduplicated", "measures.py",  # a pass after repeats overdraws
+           "islice(draws, budget - len(ranks))", "islice(draws, budget)",
+           (RANK_DRAWS, "tests/test_measures.py::TestRankDraws::test_many_repeats_draw_more")),
+    Mutant("rank-draw-one-bit-short", "measures.py", "repeat(total.bit_length())",
+           "repeat(total.bit_length() - 1)", (RANK_DRAWS,)),
     Mutant("unrank-searches-left", "measures.py", 'side="right"', 'side="left"',
            ("tests/test_measures.py::TestColexEnumeration::test_vector_unrank_full_spaces",)),
     Mutant("window-starts-one-early", "measures.py",

@@ -45,7 +45,7 @@ DEFAULT_SHAPES = (
     "words 200x16384 r2", "words 4096x16 r2", "words 4096x16 r3", "evb all14 r4",
     "exh 10 [2,4,6]", "exh 12 [2,4,6,8]", "exh 14 [2,4,6,8]", "exh 15 [2,4,6]",
     "exh 16 [2,4,6,8]", "exh 18 [2]", "best 256 r3", "sampled 256 r6 10000",
-    "tail 5000x4096", "tail 5000x4096 d0",
+    "sampled 256 r13 2000", "sampled 31 r5 20000", "tail 5000x4096", "tail 5000x4096 d0",
 )
 
 
