@@ -26,7 +26,7 @@ from .errors import ResourceLimitError
 from .seqcore import BinarySequence, SeedSpec, _packed, _pm1, _symbols
 
 DEFAULT_WORK_BUDGET = 10 ** 9  # elementary steps: tuples * sequence length
-_BLOCK_WORDS = 1 << 15  # words per tuple block: _best_tuple (fastest of 2^13..2^16), _scan_words
+_BLOCK_WORDS = 1 << 15  # words a tuple block (4x: r = 2 bound blocks), ranks a _best_tuple chunk
 _COLUMN_CELLS = 1 << 17  # tuples x rows per _scan_columns block, where 8 tuples or more fit
 _BOUND_WORDS = 9  # row words from which _scan_words, _packed_ranges read only past the bound
 EXACT_LOG_DIGIT_CAP = 5000  # decimal digits above which binomial logs use log-gamma, not big ints
@@ -122,26 +122,26 @@ def log_binomial(n: int, k: int) -> float:
 def _unrank(ranks: Sequence[int], k: int, n: int) -> np.ndarray:
     """Offsets of colex ranks (a range or a list), as a (len(ranks), k) int64 array.
 
-    For i = k..1, offset i is i + t for the largest t in 0..n-1-k with
+    For i = k..2, offset i is i + t for the largest t in 0..n-1-k with
     C(i-1+t, i) <= rank, found by `searchsorted` over that column of
-    binomials, and C(i-1+t, i) then leaves the rank. The column for i = k is
-    k - 1 running sums of 0..n-1-k (the column for i = 1), and each next one
-    the differences of the last. All entries are below the tuple count
+    binomials, and C(i-1+t, i) then leaves the rank. Column i is i - 1 running
+    sums of 0..n-1-k, which is column 1: C(t, 1) = t, so offset 1 is 1 + the
+    rank left, with no search. All entries are below the tuple count
     C(n-1, k), so the arithmetic is exact in int64 while that count is below
     2^63 (also at r = n, where middle binomials pass 2^63), and on Python
     ints in object arrays beyond."""
     dtype = np.int64 if math.comb(n - 1, k) < 1 << 63 else object
     rank = (np.arange(ranks.start, ranks.stop, dtype=dtype) if isinstance(ranks, range)
             else np.array(ranks, dtype=dtype))
-    column = np.arange(n - k, dtype=dtype)  # C(t, 1)
+    columns = [np.arange(n - k, dtype=dtype)]  # C(t, 1)
     for _ in range(k - 1):
-        column = column.cumsum()
+        columns.append(columns[-1].cumsum())
     out = np.empty((len(rank), k), dtype=np.int64)
-    for i in range(k, 0, -1):
-        t = np.searchsorted(column, rank, side="right") - 1
-        rank = rank - column[t]
+    for i in range(k, 1, -1):
+        t = np.searchsorted(columns[i - 1], rank, side="right") - 1
+        rank = rank - columns[i - 1][t]
         out[:, i - 1] = i + t
-        column = np.diff(column, prepend=0)
+    out[:, :1] = 1 + rank[:, None]  # at k = 0 the (len, 1) ranks broadcast to (len, 0)
     return out
 
 
@@ -187,32 +187,42 @@ def _best_tuple(row: np.ndarray, n: int, ranks: Sequence[int],
     """Largest walk range over a stream of colex ranks, with its first maximizer,
     for the length-n sequence of packed bytes `row`.
 
-    Each block of tuples (`_rank_blocks`) has products that are the XOR of r shifted words
-    of the one sequence (`_pack_phases`), held as (words, tuples) so that the running sums
+    Chunks of `_BLOCK_WORDS` ranks (16 `_BLOCK_WORDS` offsets at most) are unranked
+    (`_rank_blocks`), stable-ordered by word count, longest first (a colex range already
+    is), and cut into blocks of `_BLOCK_WORDS` // ceil(n / 16) tuples as wide as their first
+    product: in stream order almost every sampled block at n = 256, r = 6 had a 16-word
+    product, though most hold about 3. A block's products are the XOR of r shifted words of
+    the one sequence (`_pack_phases`), held as (words, tuples) so that the running sums
     (`_running_sum`), max and min run down axis 0. Word w of a product keeps its first
     clip(L - 16 w, 0, 16) bits by `_KEEP`, L = n - u_r its length, and the range is read
     from `_word_tables` as in `_word_ranges`: word 0's top and bottom include the empty
-    prefix, so max >= 0 >= min. The first maximizer in stream order wins: argmax inside a
-    block, strict > across blocks."""
+    prefix, so max >= 0 >= min. The ranges go back to their stream positions, so the first
+    maximizer in stream order wins: argmax inside a chunk, strict > across chunks."""
     width = -(-n // 16)
     # in bit-offset order: entry t is the row's 16 bits from bit t, so word w of shift u is u + 16 w
     flat = _pack_phases(row[None, :], n, 2 * width)[:, 0].T.ravel()
     step_sum, _, _, top_less_sum, bottom_less_sum = _word_tables()
-    best, best_offsets = -1, None
-    for offsets in _rank_blocks(ranks, k, n, max(1, _BLOCK_WORDS // width)):
-        lengths = n - offsets[:, -1]
-        lanes = 16 * np.arange(-(-int(lengths.max()) // 16))[:, None]
-        prod = flat[lanes]  # u_1 = 0
-        for u in offsets.T:
-            prod = prod ^ flat.take(lanes + u)
-        keep = _KEEP[np.clip(lengths - lanes, 0, 16)]
-        hi_words, lo_words = prod | ~keep, prod & keep
-        hi = _running_sum(step_sum.take(hi_words).astype(np.int32)) + top_less_sum.take(hi_words)
-        lo = _running_sum(step_sum.take(lo_words).astype(np.int32)) + bottom_less_sum.take(lo_words)
-        ranges = hi.max(axis=0) - lo.min(axis=0)
+    best, best_offsets, size = -1, None, max(1, _BLOCK_WORDS // width)
+    for chunk in _rank_blocks(ranks, k, n, _BLOCK_WORDS // -(-k // 16)):
+        words = (n + 15 - chunk[:, -1]) // 16
+        order = np.argsort((width - words).astype(np.uint16), kind="stable")  # radix sort
+        ranges = np.empty(len(chunk), dtype=np.int32)
+        for start in range(0, len(order), size):
+            block = order[start:start + size]
+            offsets = chunk.take(block, axis=0)
+            lengths = n - offsets[:, -1]
+            lanes = 16 * np.arange(words[block[0]])[:, None]
+            prod = flat[lanes]  # u_1 = 0
+            for u in offsets.T:
+                prod = prod ^ flat.take(lanes + u)
+            keep = _KEEP[np.clip(lengths - lanes, 0, 16)]
+            hi_in, lo_in = prod | ~keep, prod & keep
+            hi = _running_sum(step_sum.take(hi_in).astype(np.int32)) + top_less_sum.take(hi_in)
+            lo = _running_sum(step_sum.take(lo_in).astype(np.int32)) + bottom_less_sum.take(lo_in)
+            ranges[block] = hi.max(axis=0) - lo.min(axis=0)
         i = int(ranges.argmax())
         if ranges[i] > best:
-            best, best_offsets = int(ranges[i]), tuple(offsets[i].tolist())
+            best, best_offsets = int(ranges[i]), tuple(chunk[i].tolist())
     return best, best_offsets
 
 
@@ -433,17 +443,17 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _range_bound(prod: np.ndarray) -> np.ndarray:
-    """Upper bound on the walk range of each row of 16-bit words padded with 0x5555 words to
-    whole 32-bit groups: `_scan_words` reads a product, and `_packed_ranges` a row, only
-    where it exceeds the row's best or the floor. Group g holding c_g set bits, the walk
-    ends group g at T_g = 32 (g + 1) - 2 (c_0 + ... + c_g); j steps into the group it is
-    within j of T_{g-1} and 32 - j of T_g, so within 16 of m_g = (T_{g-1} + T_g) / 2 =
-    T_g + c_g - 16, and its range is at most max m - min m + 32. A product's walk is a
-    prefix of its padded one, whose range is no smaller, so neither the bits past its
-    length nor the pad need a mask. The sums run down the (groups, pairs) transpose, in
-    int16 below 1024 groups: walk -T_g / 2 and mid -m_g stay within 32 groups, and T moves
-    at most 32 a group, so m_g - m_g' <= 32 (g - g') and the bound is at most 32 groups
-    < 2^15."""
+    """Upper bound on the walk range of each row of 16-bit words taken to whole 32-bit
+    groups (by 0x5555 words, or by the bits that follow a product in its row):
+    `_scan_words` reads a product, and `_packed_ranges` a row, only where it exceeds the
+    row's best or the floor. Group g holding c_g set bits, the walk ends group g at
+    T_g = 32 (g + 1) - 2 (c_0 + ... + c_g); j steps into the group it is within j of
+    T_{g-1} and 32 - j of T_g, so within 16 of m_g = (T_{g-1} + T_g) / 2 = T_g + c_g - 16,
+    and its range is at most max m - min m + 32. A product's walk is a prefix of its
+    continued one, whose range is no smaller, so neither the bits past its length nor the
+    pad need a mask. The sums run down the (groups, pairs) transpose, in int16 below 1024
+    groups: walk -T_g / 2 and mid -m_g stay within 32 groups, and T moves at most 32 a
+    group, so m_g - m_g' <= 32 (g - g') and the bound is at most 32 groups < 2^15."""
     groups = prod.shape[1] // 2
     walk = np.zeros((groups + 1, prod.shape[0]), dtype=np.int16 if groups < 1024 else np.int32)
     walk[1:] = (np.bitwise_count(prod.view(np.uint32)).view(np.int8) - 16).T  # c_g - 16
@@ -466,11 +476,27 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     spare word. Exhaustive certificates call `_scan_columns` on their ±1 columns instead.
 
     `best` holds each row's C_r so far (a block's rows run u_2 major, row minor). A product
-    of `_BOUND_WORDS` words or more, padded to whole 32-bit groups, is read only where
+    of `_BOUND_WORDS` words or more, taken to whole 32-bit groups by the row's next bits
+    (0x5555 words past the packed row; the phases hold one more word), is read only where
     `_range_bound` exceeds its row's best, which a skipped pair cannot raise; shorter ones
-    are read whole, since the bound costs them more than it saves. Time with the bound from
-    w words over the whole read, by rows x n : r (2-core VM, min of 7; products at n <= 64
-    hold under 5 words, so those columns are noise; at 4096 x 128 r = 2, w = 5 costs 1.13):
+    are read whole, since the bound costs them more than it saves. At r = 2, where a whole-
+    word count holds 16 u_2, bound blocks span word counts, as wide as their first product:
+    16 u_2, then twice the last, up to 4 `_BLOCK_WORDS` words (the bound holds an int16 a
+    group, `_word_ranges` an int32 a word); the pairs that pass are read one whole-word
+    count at a time. Time over blocks of one word count, by first block and cap
+    (`tools/pairs.py` medians, 2-core VM, 15 repeats, the kept rule 31; the other rules
+    had phases twice as wide for the 0x5555 fill, 0.96-1.02 of it; a cap of 1: 1.41-1.65):
+
+        rule, r = 2            40x2048 200x2048 200x512 40x256 4096x256 500x4096
+        16, 4 (kept)           0.75    0.64     0.91    0.94   1.04     0.96
+        1, 4                   0.74    0.66     0.86    1.14   1.05     1.03
+        16, 2                  0.87    0.86     0.92    0.88   1.06     -
+        16, 8                  0.75    0.70     0.89    0.93   1.07     0.99
+        one block, 4           0.78    0.65     0.83    1.20   1.05     0.97
+
+    Time with the bound from w words over the whole read, by rows x n : r (2-core VM, min
+    of 7; products at n <= 64 hold under 5 words, so those columns are noise; at 4096 x 128
+    r = 2, w = 5 costs 1.13; measured before the r = 2 bound blocks spanned word counts):
 
         w    4096x16:3 4096x64:2 40x256:2 4096x256:2 200x512:2 200x512:3 40x2048:2 500x4096:2
         0    5.16      1.43      0.83     0.66       0.45      0.23      0.35      0.23
@@ -482,28 +508,34 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     if (tuples := math.comb(n - 1, r - 1)) > 10 ** 8:
         raise ResourceLimitError(f"batch kernel would enumerate {tuples:.2e} tuples; use "
                                  "correlation_measure_sampled per sequence instead")
-    phases, count = _pack_phases(rows, n, n // 16 + 1), rows.shape[0]
+    spare = n // 16 + 1 >= _BOUND_WORDS  # a word to whole 32-bit groups, where any is bound
+    phases, count = _pack_phases(rows, n, n // 16 + 1 + spare), rows.shape[0]
     best = np.zeros(count, dtype=np.int32)
     blocks = _rank_blocks(range(math.comb(n - 1, r - 2)), r - 2, n, _BLOCK_WORDS) if count else ()
     for upper in (t for block in blocks for t in block.tolist()):  # no rows: no blocks to size
-        u2, stop = 1, upper[0] if upper else n
-        while u2 < stop:  # a run of u_2 whose products have one whole-word count
+        u2, stop, grow = 1, upper[0] if upper else n, 16
+        while u2 < stop:  # a run of u_2 whose products have one whole-word count, or a bound block
             words = (n - (upper or (u2,))[-1]) // 16 + 1  # (n - u_r) // 16 and the spare
             run = min(stop, n + 17 - 16 * words)  # at r = 2, where (n - u_2) // 16 changes
-            base = phases[0, :, :words]
-            for u in upper:
-                base = base ^ phases[u & 15, :, u >> 4:(u >> 4) + words]
             bounded = words >= _BOUND_WORDS
             width = words + (words & 1 if bounded else 0)  # whole 32-bit groups
             block = max(1, _BLOCK_WORDS // (count * words))
+            if bounded and not upper:  # at r = 2 a bound block spans whole-word counts
+                block = min(grow, max(1, 4 * _BLOCK_WORDS // (count * width)))
+                run, grow = min(stop, u2 + block), 2 * grow
+            base = phases[0, :, :width]
+            for u in upper:
+                base = base ^ phases[u & 15, :, u >> 4:(u >> 4) + width]
             for first in range(u2, run, block):
                 last = min(first + block, run)
                 prod = np.empty((last - first, count, width), dtype=np.uint16)
-                prod[:, :, words:] = 0x5555
                 for q in range(first >> 4, ((last - 1) >> 4) + 1):
                     p0, p1 = max(first - 16 * q, 0), min(last - 16 * q, 16)
-                    np.bitwise_xor(phases[p0:p1, :, q:q + words], base,
-                                   out=prod[16 * q + p0 - first:16 * q + p1 - first, :, :words])
+                    out = prod[16 * q + p0 - first:16 * q + p1 - first]
+                    cols = min(width, phases.shape[2] - q)  # words left in the packed row
+                    np.bitwise_xor(phases[p0:p1, :, q:q + cols], base[:, :cols],
+                                   out=out[..., :cols])
+                    out[..., cols:] = 0x5555
                 steps = (np.repeat(n - np.arange(first, last), count) if last - first > 1
                          and not upper else n - (upper or (first,))[-1])  # n - u_r per row
                 prod = prod.reshape(-1, width)
@@ -512,9 +544,10 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
                     np.maximum(best, ranges.reshape(-1, count).max(axis=0), out=best)
                     continue
                 read = np.flatnonzero(_range_bound(prod).reshape(-1, count) > best)
-                if read.size:
-                    ranges = _word_ranges(prod[read], steps[read] if np.ndim(steps) else steps)
-                    np.maximum.at(best, read % count, ranges)
+                cuts = np.flatnonzero(np.diff(steps[read] // 16)) + 1 if np.ndim(steps) else ()
+                for part in np.split(read, cuts) if read.size else ():  # a word count a call
+                    ranges = _word_ranges(prod[part], steps[part] if np.ndim(steps) else steps)
+                    np.maximum.at(best, part % count, ranges)
             u2 = run
     return best
 

@@ -72,11 +72,11 @@ class TestColexEnumeration:
 
     def test_vector_unrank_full_spaces(self):
         for n in range(2, 13):
-            for k in range(1, n):
+            for k in range(n):  # k = 0: the empty tuple; k = 1: offset 1 + rank, no search
                 total = math.comb(n - 1, k)
                 self.check_vector_unrank(range(total), k, n)
                 assert [tuple(row) for row in ms._unrank(list(range(total)), k, n).tolist()] \
-                    == list(orc.colex_offsets(n, k))
+                    == (list(orc.colex_offsets(n, k)) if k else [()])
 
     @pytest.mark.parametrize("size", [1, 3, 16])
     def test_rank_blocks_enumerate_colex_order(self, size):
@@ -93,8 +93,9 @@ class TestColexEnumeration:
         total = math.comb(255, 5)
         self.check_vector_unrank([rng.randrange(total) for _ in range(500)], 5, 256)
 
-    # C(66, 33) is just below 2^63 (int64 ranks), C(2999, 9) above it (Python ints)
-    @pytest.mark.parametrize("n,k", [(67, 33), (3000, 9)])
+    # C(66, 33) is just below 2^63 (int64 ranks), C(2999, 9) and C(255, 12) above it (Python
+    # ints), C(2^20, 1) a long single column
+    @pytest.mark.parametrize("n,k", [(67, 33), (3000, 9), (256, 12), (1 << 20, 1)])
     def test_vector_unrank_near_and_past_int64(self, n, k):
         total = math.comb(n - 1, k)
         rng = random.Random(n)

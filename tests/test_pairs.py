@@ -15,7 +15,9 @@ def test_pairs_times_src_against_itself():
                           cwd=ROOT / "tools", capture_output=True, text=True, check=True)
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["repeats"] == 2
-    assert set(report["ratios"]) == set(report["median_ratios"]) == set(report["fastest_s"]) \
-        == set(shapes)
+    assert set(report["ratios"]) == set(report["median_ratios"]) == set(report["spreads"]) \
+        == set(report["fastest_s"]) == set(shapes)
     assert all(ratio > 0 for ratio in [*report["ratios"].values(),
                                        *report["median_ratios"].values()])
+    for shape, (q1, q3) in report["spreads"].items():
+        assert 0 < q1 <= report["median_ratios"][shape] <= q3, shape

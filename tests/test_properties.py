@@ -86,14 +86,14 @@ def test_layouts_agree(case):
 
 
 @st.composite
-def blocked_scan_case(draw, lengths=(*range(2, 81), 1000, 4097), long_rows=40):
+def blocked_scan_case(draw, lengths=(*range(2, 81), 1000, 4097), long_rows=40, tuples=1000):
     """±1 rows for the blocked word scan: n from `lengths` (2..80, and 1000 or 4097 at
-    r = 2), r = 2..5 with at most 1,000 tuples, 1..40 rows (1..`long_rows` past n = 80),
+    r = 2), r = 2..5 with at most `tuples` tuples, 1..40 rows (1..`long_rows` past n = 80),
     at times an all +1 or an all -1 row among them, and a block cap: 16 words splits
     blocks inside a 16-shift phase group, 64 words at whole-word boundaries, 2^15 words
     at the cap."""
     n = draw(st.sampled_from(lengths))
-    top = max(r for r in range(2, min(5, n) + 1) if r == 2 or math.comb(n - 1, r - 1) <= 1000)
+    top = max(r for r in range(2, min(5, n) + 1) if r == 2 or math.comb(n - 1, r - 1) <= tuples)
     count = draw(st.integers(1, 40 if n <= 80 else long_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mat = (1 - 2 * rng.integers(0, 2, size=(count, n))).astype(np.int8)
@@ -128,11 +128,16 @@ def test_blocked_word_scan_equals_columns_and_naive(case):
 
 @st.composite
 def bound_scan_case(draw):
-    """`blocked_scan_case` with n = 1000 or 4097 (1..4 rows) drawn about one time in six,
-    packed into bytes with 0..2 spare bytes and random bits from n on. Past n = 80 a row's
-    best pair is seldom among the first block's, so most pairs meet the bound."""
-    mat, r, block_words = draw(blocked_scan_case((*range(2, 81), *(1000, 4097) * 8), 4))
+    """`blocked_scan_case` with n = 2..100 (r = 3 up to n = 100, so upper offsets pass 16)
+    and n = 1000 or 4097 (1..4 rows past n = 80) drawn about one time in seven, packed into
+    bytes with 0..2 spare bytes and random bits from n on. Past n = 80 a row's best pair is
+    seldom among the first block's, so most pairs meet the bound. About half the cases cap
+    blocks at 8 x rows x (n // 16 + 2) words, so that at r = 2 bound blocks after the first
+    hold 32 u_2 or more, across two or more whole-word counts; the drawn caps hold fewer
+    (16 and 64 words: one u_2 past n = 80)."""
+    mat, r, block_words = draw(blocked_scan_case((*range(2, 101), *(1000, 4097) * 8), 4, 5000))
     n = mat.shape[1]
+    block_words = draw(st.sampled_from([block_words, 8 * len(mat) * (n // 16 + 2)]))
     rows = np.pad(sc._packed(mat), ((0, 0), (0, draw(st.integers(0, 2)))))
     past = np.packbits(np.arange(8 * rows.shape[1]) >= n, bitorder="little")
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -251,23 +256,28 @@ def test_best_tuple_is_first_maximizer(case):
 
 @st.composite
 def sampled_case(draw):
-    """A seeded random sequence of n = 3..24 (where many tuples tie at the maximum), an
+    """A seeded random sequence of n = 3..24 (where many tuples tie at the maximum) or
+    25..100 (products of 2 to 7 words, so that a chunk's width order moves most ranks), an
     order r = 2..4, a tuple budget from 1 to twice the space, at most 300 tuples (drawn
     without replacement up to half the space, with repeats above it, the whole space as a
-    range at or past it), the draw's seed and a block size (16 words: 8 or 16 tuples)."""
-    n, seed = draw(st.integers(3, 24)), draw(st.integers(0, 2 ** 32))
+    range at or past it), the draw's seed and a block size (16 words: chunks of 16 ranks
+    and blocks of 16 // ceil(n / 16) tuples, so ties fall across blocks, width groups and
+    chunks)."""
+    n = draw(st.one_of(st.integers(3, 24), st.integers(25, 100)))
+    seed = draw(st.integers(0, 2 ** 32))
     r = draw(st.integers(2, min(4, n)))
     total = math.comb(n - 1, r - 1)
     budget = draw(st.integers(1, 2 * total if total <= 150 else 300))
     return (sc.random_sequence(n, sc.SeedSpec(seed, 1)), r, budget, seed,
-            draw(st.sampled_from([16, 1 << 15])))
+            draw(st.sampled_from([16, 64, 1 << 15])))
 
 
 @PROPERTY
 @given(sampled_case())
 def test_sampled_witness_is_first_in_stream(case):
     """The sampled measure's value and witness are the first maximizer of its drawn ranks
-    in stream order, read one tuple at a time, also where blocks of 8 tuples tie."""
+    in stream order, read one tuple at a time, also where blocks, width groups or chunks
+    tie."""
     seq, r, budget, seed, block_words = case
     total = math.comb(seq.length - 1, r - 1)
     ranks = (range(total) if budget >= total else

@@ -1,7 +1,7 @@
 """Mutation check for the fast kernels and the report reader: every mutant must
 fail one of its tests.
 
-    python tools/mutants.py            # run every mutant (about 170 s on a loaded 2-core VM)
+    python tools/mutants.py            # run every mutant (about 6 min on a loaded 2-core VM)
     python tools/mutants.py NAME ...   # run the named mutants only
 
 A mutant is a file under src/corrlab, an old text that occurs there exactly
@@ -58,8 +58,12 @@ MUTANTS = (
            "np.repeat(n - np.arange(first, last), count)",
            "np.repeat(n - np.full(last - first, first), count)", (BLOCKED,)),
     Mutant("phases-without-spare-word", "measures.py",
-           "_pack_phases(rows, n, n // 16 + 1)", "_pack_phases(rows, n, -(-n // 16))",
-           (BLOCKED,)),
+           "_pack_phases(rows, n, n // 16 + 1 + spare)",
+           "_pack_phases(rows, n, -(-n // 16) + spare)", (BOUND,)),
+    Mutant("phases-without-group-word", "measures.py",
+           "spare = n // 16 + 1 >= _BOUND_WORDS", "spare = False", (BOUND,)),
+    Mutant("span-reads-past-packed-row", "measures.py",
+           "cols = min(width, phases.shape[2] - q)", "cols = width", (BOUND,)),
     Mutant("rank-block-drops-last-rank", "measures.py",
            "ranks[start:start + size]", "ranks[start:start + size - 1]",
            (RANK_BLOCKS,)),
@@ -72,7 +76,11 @@ MUTANTS = (
            "n + 17 - 16 * words", "n + 33 - 16 * words", (BLOCKED,)),
     # The bound covers the padded walk, of which the product's walk is a prefix, so it
     # holds whatever the bits past the product's length and the pad words are: a mutant
-    # that leaves those bits set, or pads with zero words, is equivalent and left out.
+    # that leaves those bits set, or pads with zero words, is equivalent and left out. So
+    # are mutants of the r = 2 bound blocks' size alone (dropping the doubling from 16 u_2,
+    # or another cap than 4 `_BLOCK_WORDS`): only the speed changes.
+    Mutant("span-reads-survivors-at-one-word-count", "measures.py",
+           "np.split(read, cuts)", "[read]", (BOUND,)),
     Mutant("bound-drops-slack", "measures.py",
            "mid.min(axis=0) + 32", "mid.min(axis=0)", (BOUND,)),
     Mutant("bound-midpoint-is-group-step", "measures.py",
@@ -122,6 +130,16 @@ MUTANTS = (
            "lengths - lanes", "lengths - lanes - 1", (BEST_TUPLE,)),
     Mutant("sampled-tie-keeps-later-block", "measures.py",
            "if ranges[i] > best:", "if ranges[i] >= best:", (SAMPLED_STREAM,)),
+    # Each block's ranges go back to their stream positions, so an unstable width order
+    # (kind="quicksort") is equivalent and left out; so is another chunk size.
+    Mutant("width-order-shortest-first", "measures.py",
+           "(width - words).astype(np.uint16)", "words.astype(np.uint16)",
+           (BEST_TUPLE, SAMPLED_STREAM)),
+    Mutant("ranges-kept-in-width-order", "measures.py",
+           "ranges[block] = ", "ranges[start:start + len(block)] = ", (SAMPLED_STREAM,)),
+    Mutant("stream-pick-keeps-last-of-equal", "measures.py",
+           "i = int(ranges.argmax())", "i = len(ranges) - 1 - int(ranges[::-1].argmax())",
+           (SAMPLED_STREAM,)),
     Mutant("running-sum-skips-last-pass", "measures.py",
            "while d < len(x):", "while 2 * d < len(x):",
            ("tests/test_properties.py::test_running_sum_is_cumsum",)),
@@ -143,6 +161,9 @@ MUTANTS = (
     Mutant("rank-draw-one-bit-short", "measures.py", "repeat(total.bit_length())",
            "repeat(total.bit_length() - 1)", (RANK_DRAWS,)),
     Mutant("unrank-searches-left", "measures.py", 'side="right"', 'side="left"',
+           ("tests/test_measures.py::TestColexEnumeration::test_vector_unrank_full_spaces",)),
+    Mutant("unrank-first-offset-is-rank", "measures.py",
+           "1 + rank[:, None]", "rank[:, None]",
            ("tests/test_measures.py::TestColexEnumeration::test_vector_unrank_full_spaces",)),
     Mutant("window-starts-one-early", "measures.py",
            "(min(hi, lo) + 1, ", "(min(hi, lo), ",

@@ -7,10 +7,11 @@ BASE_SRC is a directory holding a `corrlab` package (say the `src/` of an export
 another commit). It is imported as `corrlab_base` next to this checkout's `src/corrlab`,
 imported as `corrlab`. For each shape the two sides run alternately (base first on even
 repeats), every pair of results must be equal, and the last line of stdout is one JSON
-object whose `ratios` are this checkout's fastest call over the base's fastest call, and
+object whose `ratios` are this checkout's fastest call over the base's fastest call,
 whose `median_ratios` are the medians over repeats of each repeat's own ratio (its two
-back-to-back calls). The spread between the two shows how far the machine's noise moves
-one ratio.
+back-to-back calls), and whose `spreads` are the first and third quartiles of those
+per-repeat ratios. A median outside its spread's reach of 1.0 is a change; one whose
+spread holds 1.0 is noise, however far the median reads from it.
 
 Shapes:
     words ROWSxN rR     measures._scan_words on np.random.default_rng(0) packed rows
@@ -41,11 +42,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SHAPES = (
-    "words 40x2048 r2", "words 200x512 r2", "words 200x512 r3", "words 500x4096 r2",
-    "words 200x16384 r2", "words 4096x16 r2", "words 4096x16 r3", "evb all14 r4",
-    "exh 10 [2,4,6]", "exh 12 [2,4,6,8]", "exh 14 [2,4,6,8]", "exh 15 [2,4,6]",
-    "exh 16 [2,4,6,8]", "exh 18 [2]", "best 256 r3", "sampled 256 r6 10000",
-    "sampled 256 r13 2000", "sampled 31 r5 20000", "tail 5000x4096", "tail 5000x4096 d0",
+    "words 40x2048 r2", "words 200x2048 r2", "words 40x256 r2", "words 200x512 r2",
+    "words 200x512 r3", "words 500x4096 r2", "words 200x16384 r2", "words 4096x16 r2",
+    "words 4096x16 r3", "evb all14 r4", "exh 10 [2,4,6]", "exh 12 [2,4,6,8]",
+    "exh 14 [2,4,6,8]", "exh 15 [2,4,6]", "exh 16 [2,4,6,8]", "exh 18 [2]", "best 256 r3",
+    "sampled 256 r6 10000", "sampled 2048 r6 20000", "sampled 256 r13 2000",
+    "sampled 31 r5 20000", "tail 5000x4096", "tail 5000x4096 d0",
 )
 
 
@@ -105,7 +107,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     head, base = load("corrlab", ROOT / "src"), load("corrlab_base", args.base.resolve())
-    ratios, medians, fastest = {}, {}, {}
+    ratios, medians, spreads, fastest = {}, {}, {}, {}
     for shape in args.shapes:
         sides = {"head": call(head, shape), "base": call(base, shape)}
         times = {side: [] for side in sides}
@@ -119,12 +121,14 @@ def main(argv: list[str]) -> int:
                 raise SystemExit(f"{shape}: values differ")
         fastest[shape] = {side: min(t) for side, t in times.items()}
         ratios[shape] = round(fastest[shape]["head"] / fastest[shape]["base"], 3)
-        medians[shape] = round(statistics.median(
-            head / base for head, base in zip(times["head"], times["base"])), 3)
+        each = sorted(head / base for head, base in zip(times["head"], times["base"]))
+        medians[shape] = round(statistics.median(each), 3)
+        spreads[shape] = [round(q, 3) for q in np.quantile(each, [0.25, 0.75])]
         print(f"# {shape}: {ratios[shape]} ({fastest[shape]['head']:.4g} s over "
-              f"{fastest[shape]['base']:.4g} s), median per repeat {medians[shape]}", flush=True)
+              f"{fastest[shape]['base']:.4g} s), median per repeat {medians[shape]} "
+              f"(q1-q3 {spreads[shape][0]}-{spreads[shape][1]})", flush=True)
     print(json.dumps({"base": str(args.base), "repeats": args.repeats, "ratios": ratios,
-                      "median_ratios": medians, "fastest_s": fastest}))
+                      "median_ratios": medians, "spreads": spreads, "fastest_s": fastest}))
     return 0
 
 
