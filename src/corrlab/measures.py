@@ -192,16 +192,13 @@ def _best_tuple(row: np.ndarray, n: int, ranks: Sequence[int],
     is), and cut into blocks of `_BLOCK_WORDS` // ceil(n / 16) tuples as wide as their first
     product: in stream order almost every sampled block at n = 256, r = 6 had a 16-word
     product, though most hold about 3. A block's products are the XOR of r shifted words of
-    the one sequence (`_pack_phases`), held as (words, tuples) so that the running sums
-    (`_running_sum`), max and min run down axis 0. Word w of a product keeps its first
-    clip(L - 16 w, 0, 16) bits by `_KEEP`, L = n - u_r its length, and the range is read
-    from `_word_tables` as in `_word_ranges`: word 0's top and bottom include the empty
-    prefix, so max >= 0 >= min. The ranges go back to their stream positions, so the first
-    maximizer in stream order wins: argmax inside a chunk, strict > across chunks."""
+    the one sequence (`_pack_phases`), held as (words, tuples), the columns that
+    `_masked_ranges` reads to their lengths n - u_r. The ranges go back to their stream
+    positions, so the first maximizer in stream order wins: argmax inside a chunk, strict >
+    across chunks."""
     width = -(-n // 16)
     # in bit-offset order: entry t is the row's 16 bits from bit t, so word w of shift u is u + 16 w
     flat = _pack_phases(row[None, :], n, 2 * width)[:, 0].T.ravel()
-    step_sum, _, _, top_less_sum, bottom_less_sum = _word_tables()
     best, best_offsets, size = -1, None, max(1, _BLOCK_WORDS // width)
     for chunk in _rank_blocks(ranks, k, n, _BLOCK_WORDS // -(-k // 16)):
         words = (n + 15 - chunk[:, -1]) // 16
@@ -210,16 +207,11 @@ def _best_tuple(row: np.ndarray, n: int, ranks: Sequence[int],
         for start in range(0, len(order), size):
             block = order[start:start + size]
             offsets = chunk.take(block, axis=0)
-            lengths = n - offsets[:, -1]
             lanes = 16 * np.arange(words[block[0]])[:, None]
             prod = flat[lanes]  # u_1 = 0
             for u in offsets.T:
                 prod = prod ^ flat.take(lanes + u)
-            keep = _KEEP[np.clip(lengths - lanes, 0, 16)]
-            hi_in, lo_in = prod | ~keep, prod & keep
-            hi = _running_sum(step_sum.take(hi_in).astype(np.int32)) + top_less_sum.take(hi_in)
-            lo = _running_sum(step_sum.take(lo_in).astype(np.int32)) + bottom_less_sum.take(lo_in)
-            ranges[block] = hi.max(axis=0) - lo.min(axis=0)
+            ranges[block] = _masked_ranges(prod, n - offsets[:, -1])
         i = int(ranges.argmax())
         if ranges[i] > best:
             best, best_offsets = int(ranges[i]), tuple(chunk[i].tolist())
@@ -442,6 +434,23 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _masked_ranges(prod: np.ndarray, lengths: int | np.ndarray) -> np.ndarray:
+    """Walk range of each column of (words, products) 16-bit words whose first `lengths`
+    bits (one int, or one per column) are the steps, as int32. Word w keeps its first
+    clip(L - 16 w, 0, 16) bits by `_KEEP`, and the range is read from `_word_tables` as in
+    `_word_ranges`: word 0's top and bottom include the empty prefix, so max >= 0 >= min.
+    The running sums (`_running_sum`) run down axis 0, in int16 below 2048 words, where the
+    walks, masked words included, stay within 16 x 2047 < 2^15 of 0."""
+    step_sum, _, _, top_less_sum, bottom_less_sum = _word_tables()
+    lanes = 16 * np.arange(len(prod))[:, None]
+    keep = _KEEP[np.clip(lengths - lanes, 0, 16)]
+    hi_in, lo_in = prod | ~keep, prod & keep
+    dtype = np.int16 if len(prod) < 2048 else np.int32
+    hi = _running_sum(step_sum.take(hi_in).astype(dtype, copy=False)) + top_less_sum.take(hi_in)
+    lo = _running_sum(step_sum.take(lo_in).astype(dtype, copy=False)) + bottom_less_sum.take(lo_in)
+    return np.subtract(hi.max(axis=0), lo.min(axis=0), dtype=np.int32)
+
+
 def _range_bound(prod: np.ndarray) -> np.ndarray:
     """Upper bound on the walk range of each row of 16-bit words taken to whole 32-bit
     groups (by 0x5555 words, or by the bits that follow a product in its row):
@@ -462,6 +471,24 @@ def _range_bound(prod: np.ndarray) -> np.ndarray:
     return mid.max(axis=0) - mid.min(axis=0) + 32
 
 
+def _read_pairs(best: np.ndarray, pairs: np.ndarray, head: np.ndarray, phases: np.ndarray,
+                n: int, u_r: int) -> None:
+    """Fold into `best` the walk ranges of `pairs`, flat (u_2 - 1, row) indices in u_2
+    order, of products of length n - max(u_2, u_r) (`u_r` is 0 at r = 2), in blocks of
+    about `_BLOCK_WORDS` words as wide as their first product. Word w of a pair is
+    head[row, w] ^ phases[u_2 & 15, row, (u_2 >> 4) + w], gathered by flat index: lanes
+    past a product may clip or reach the next row, and `_masked_ranges` masks them."""
+    count, start = len(best), 0
+    while start < len(pairs):
+        words = -(-(n - max(int(pairs[start]) // count + 1, u_r)) // 16)
+        part = pairs[start:start + max(1, _BLOCK_WORDS // words)]
+        u2, row, lanes = part // count + 1, part % count, np.arange(words)[:, None]
+        prod = head.take(row * head.shape[1] + lanes, mode="clip") ^ phases.take(
+            ((u2 & 15) * count + row) * phases.shape[2] + (u2 >> 4) + lanes, mode="clip")
+        np.maximum.at(best, row, _masked_ranges(prod, n - np.maximum(u2, u_r)))
+        start += len(part)
+
+
 def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     """C_r of the first n bits of every packed byte row, as int32, on 16-bit words.
 
@@ -471,28 +498,31 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     tuple at r = 2) and their product's whole-word count differ only in u_2 < u_3 (< n at
     r = 2), and u_2 = 16 q + p for p0 <= p < p1 is the one slice `phases[p0:p1, :, q:]`.
     So each block of u_2 values (at most `_BLOCK_WORDS` words) XORs the upper offsets'
-    product with a slice per 16 of them, and one `_word_ranges` call reads it, at r = 2
+    product with a slice per 16 of them. Products under `_BOUND_WORDS` words are read whole,
+    since the bound costs them more than it saves: one `_word_ranges` call a block, at r = 2
     with a length per row. Products read a word past their whole ones: the phases hold a
     spare word. Exhaustive certificates call `_scan_columns` on their ±1 columns instead.
 
-    `best` holds each row's C_r so far (a block's rows run u_2 major, row minor). A product
-    of `_BOUND_WORDS` words or more, taken to whole 32-bit groups by the row's next bits
-    (0x5555 words past the packed row; the phases hold one more word), is read only where
-    `_range_bound` exceeds its row's best, which a skipped pair cannot raise; shorter ones
-    are read whole, since the bound costs them more than it saves. At r = 2, where a whole-
-    word count holds 16 u_2, bound blocks span word counts, as wide as their first product:
-    16 u_2, then twice the last, up to 4 `_BLOCK_WORDS` words (the bound holds an int16 a
-    group, `_word_ranges` an int32 a word); the pairs that pass are read one whole-word
-    count at a time. Time over blocks of one word count, by first block and cap
-    (`tools/pairs.py` medians, 2-core VM, 15 repeats, the kept rule 31; the other rules
-    had phases twice as wide for the 0x5555 fill, 0.96-1.02 of it; a cap of 1: 1.41-1.65):
+    `best` holds each row's C_r so far (a block's rows run u_2 major, row minor). Longer
+    products, taken to whole 32-bit groups by the row's next bits (0x5555 words past the
+    packed row; the phases hold one more word), are only bounded while an upper tuple's run
+    of u_2 goes: `_range_bound` fills a (u_2, rows) table in its own dtype (int16 below 1024
+    groups: at r = 2 about 2 n bytes a row, as many as the row's 16 phases). After the run,
+    `_read_pairs` reads each row's highest-bound pair where that bound exceeds the row's
+    best, then, in u_2 order, every pair whose bound still does; a pair it skips cannot
+    raise its row's best. At 40 x 2048 (`tools/pairs.py`'s rows) that reads 224 pairs in 2
+    calls, where reading each block's survivors as it was bounded read 1,295 in 60. At
+    r = 2, where a whole-word count holds 16 u_2, bound blocks span word counts, as wide as
+    their first product: 16 u_2, then twice the last, up to 4 `_BLOCK_WORDS` words. Time
+    over the kept rule, by first block and cap (`tools/pairs.py` medians per repeat, 2-core
+    VM, 15 repeats, with the best-first reads; "one count": blocks of one word count):
 
         rule, r = 2            40x2048 200x2048 200x512 40x256 4096x256 500x4096
-        16, 4 (kept)           0.75    0.64     0.91    0.94   1.04     0.96
-        1, 4                   0.74    0.66     0.86    1.14   1.05     1.03
-        16, 2                  0.87    0.86     0.92    0.88   1.06     -
-        16, 8                  0.75    0.70     0.89    0.93   1.07     0.99
-        one block, 4           0.78    0.65     0.83    1.20   1.05     0.97
+        1, 4                   1.01    0.99     1.00    1.05   0.97     1.08
+        16, 2                  1.10    1.11     1.03    1.01   1.00     1.04
+        16, 8                  1.18    0.99     1.10    0.99   1.01     0.92
+        one block, 4           1.00    1.00     0.99    1.12   1.02     0.99
+        one count              1.49    1.57     1.18    1.39   1.02     1.04
 
     Time with the bound from w words over the whole read, by rows x n : r (2-core VM, min
     of 7; products at n <= 64 hold under 5 words, so those columns are noise; at 4096 x 128
@@ -513,7 +543,7 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
     best = np.zeros(count, dtype=np.int32)
     blocks = _rank_blocks(range(math.comb(n - 1, r - 2)), r - 2, n, _BLOCK_WORDS) if count else ()
     for upper in (t for block in blocks for t in block.tolist()):  # no rows: no blocks to size
-        u2, stop, grow = 1, upper[0] if upper else n, 16
+        u2, stop, grow, table = 1, upper[0] if upper else n, 16, None
         while u2 < stop:  # a run of u_2 whose products have one whole-word count, or a bound block
             words = (n - (upper or (u2,))[-1]) // 16 + 1  # (n - u_r) // 16 and the spare
             run = min(stop, n + 17 - 16 * words)  # at r = 2, where (n - u_2) // 16 changes
@@ -536,19 +566,26 @@ def _scan_words(rows: np.ndarray, n: int, r: int) -> np.ndarray:
                     np.bitwise_xor(phases[p0:p1, :, q:q + cols], base[:, :cols],
                                    out=out[..., :cols])
                     out[..., cols:] = 0x5555
+                prod = prod.reshape(-1, width)
+                if bounded:  # bound now, read after the run
+                    bound = _range_bound(prod).reshape(-1, count)  # the first is the widest
+                    table = np.zeros((stop - 1, count), bound.dtype) if table is None else table
+                    table[first - 1:last - 1] = bound  # by u_2 - 1; a 0 is never read
+                    continue
                 steps = (np.repeat(n - np.arange(first, last), count) if last - first > 1
                          and not upper else n - (upper or (first,))[-1])  # n - u_r per row
-                prod = prod.reshape(-1, width)
-                if not bounded:
-                    ranges = _word_ranges(prod, steps)
-                    np.maximum(best, ranges.reshape(-1, count).max(axis=0), out=best)
-                    continue
-                read = np.flatnonzero(_range_bound(prod).reshape(-1, count) > best)
-                cuts = np.flatnonzero(np.diff(steps[read] // 16)) + 1 if np.ndim(steps) else ()
-                for part in np.split(read, cuts) if read.size else ():  # a word count a call
-                    ranges = _word_ranges(prod[part], steps[part] if np.ndim(steps) else steps)
-                    np.maximum.at(best, part % count, ranges)
+                ranges = _word_ranges(prod, steps)
+                np.maximum(best, ranges.reshape(-1, count).max(axis=0), out=best)
             u2 = run
+        if table is not None:  # each row's highest-bound pair first, then the rest in u_2 order
+            head, u_r = base if upper else phases[0], (upper or (0,))[-1]
+            top = table.argmax(axis=0)
+            lead = np.flatnonzero(table[top, np.arange(count)] > best)
+            _read_pairs(best, np.sort(top[lead] * count + lead), head, phases, n, u_r)
+            table[top[lead], lead] = 0  # read
+            # best < n fits an int16 table: n < 2^15 at r = 2, and n <= 14,143 at r >= 3 (guard)
+            rest = np.flatnonzero(table > best.astype(table.dtype))
+            _read_pairs(best, rest, head, phases, n, u_r)
     return best
 
 

@@ -595,16 +595,33 @@ class TestBatchKernels:
         assert want[:2].tolist() == [32 * groups] * 2
         assert ms._range_bound(prod).tolist() == want.tolist()
 
+    @pytest.mark.parametrize("words", [2047, 2048])
+    def test_masked_ranges_at_the_int16_edge(self, words):
+        # `_masked_ranges` sums in int16 below 2048 words; all-set and all-clear columns walk
+        # 16 x words steps one way, which int16 holds only below 2048 words
+        rng = np.random.default_rng(89)
+        prod = np.stack([np.full(words, 0xFFFF), np.zeros(words),
+                         rng.integers(0, 1 << 16, words)], axis=1).astype(np.uint16)
+        got = ms._masked_ranges(prod, 16 * words)
+        assert got.dtype == np.int32
+        assert got.tolist() == [16 * words] * 2 + ms._word_ranges(prod[:, 2:].T, 16 * words).tolist()
+        short = ms._masked_ranges(prod, np.array([16 * words - 7, 16 * words - 16, 1]))
+        assert short.tolist() == [16 * words - 7, 16 * words - 16, 1]
+
     def test_bound_skips_most_pairs_of_the_bench_trend_cell(self):
         # 40 random rows of n = 2048 at r = 2, the shape of the benchmark's trend call: of
         # the pairs whose products hold `_BOUND_WORDS` words or more (u_2 <= 2048 - 16
-        # (_BOUND_WORDS - 1)), the popcount bound sends fewer than one in ten to `_word_ranges`
+        # (_BOUND_WORDS - 1)), the popcount bound sends fewer than one in a hundred to the
+        # bounded reader `_read_pairs` and none to `_word_ranges`; after each row's
+        # highest-bound pair (the first read), some rows have no pair left to read
         rows = np.random.default_rng(73).integers(0, 256, size=(40, 256), dtype=np.uint8)
-        with mock.patch.object(ms, "_word_ranges", wraps=ms._word_ranges) as read:
+        with mock.patch.object(ms, "_read_pairs", wraps=ms._read_pairs) as read, \
+                mock.patch.object(ms, "_word_ranges", wraps=ms._word_ranges) as plain:
             got = ms._scan_words(rows, 2048, 2)
-        bounded = [call.args[0].shape[0] for call in read.call_args_list
-                   if call.args[0].shape[1] >= ms._BOUND_WORDS]
-        assert bounded and sum(bounded) < 0.1 * 40 * (2048 - 16 * (ms._BOUND_WORDS - 1))
+        assert all(call.args[0].shape[1] < ms._BOUND_WORDS for call in plain.call_args_list)
+        lead, rest = (call.args[1] for call in read.call_args_list)
+        assert 0 < len(lead) + len(rest) < 0.01 * 40 * (2048 - 16 * (ms._BOUND_WORDS - 1))
+        assert set(range(40)) - set((rest % 40).tolist())
         with mock.patch.object(ms, "_BOUND_WORDS", 2048):  # more words than any product holds
             assert np.array_equal(got, ms._scan_words(rows, 2048, 2))
 

@@ -128,16 +128,26 @@ def test_blocked_word_scan_equals_columns_and_naive(case):
 
 @st.composite
 def bound_scan_case(draw):
-    """`blocked_scan_case` with n = 2..100 (r = 3 up to n = 100, so upper offsets pass 16)
-    and n = 1000 or 4097 (1..4 rows past n = 80) drawn about one time in seven, packed into
-    bytes with 0..2 spare bytes and random bits from n on. Past n = 80 a row's best pair is
-    seldom among the first block's, so most pairs meet the bound. About half the cases cap
-    blocks at 8 x rows x (n // 16 + 2) words, so that at r = 2 bound blocks after the first
-    hold 32 u_2 or more, across two or more whole-word counts; the drawn caps hold fewer
-    (16 and 64 words: one u_2 past n = 80)."""
+    """`blocked_scan_case` with n = 2..100 (r = 3 up to n = 100, so upper offsets pass 16
+    and the bounded reads take the upper product as head and n - u_r as length) and n =
+    1000 or 4097 (1..4 rows past n = 80) drawn about one time in seven, packed into bytes
+    with 0..2 spare bytes and random bits from n on. Past n = 80 a row's best pair is seldom
+    among the first block's, so most pairs meet the bound, and the read of a row's highest
+    bound often rules out all its other pairs. One row in about three cases repeats a
+    pattern of 1..4 symbols, so that products of one whole-word count tie at the row's
+    highest bound. Caps of blocks (`_BLOCK_WORDS`): about a third are 8 x rows x (n // 16 +
+    2) words, so that at r = 2 bound blocks after the first hold 32 u_2 or more, across two
+    or more whole-word counts; a third are 3 x (n // 16 + 2) words, so that both read rounds
+    cut gathered blocks of about three pairs of mixed widths; the drawn caps hold fewer (16
+    and 64 words: one u_2 past n = 80). One case in about eight keeps no row."""
     mat, r, block_words = draw(blocked_scan_case((*range(2, 101), *(1000, 4097) * 8), 4, 5000))
     n = mat.shape[1]
-    block_words = draw(st.sampled_from([block_words, 8 * len(mat) * (n // 16 + 2)]))
+    block_words = draw(st.sampled_from([block_words, 8 * len(mat) * (n // 16 + 2),
+                                        3 * (n // 16 + 2)]))
+    row = draw(st.integers(0, 3 * len(mat)))
+    if row < len(mat):
+        mat[row] = np.resize(draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4)), n)
+    mat = mat[:0] if draw(st.integers(0, 7)) == 5 else mat
     rows = np.pad(sc._packed(mat), ((0, 0), (0, draw(st.integers(0, 2)))))
     past = np.packbits(np.arange(8 * rows.shape[1]) >= n, bitorder="little")
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -157,9 +167,9 @@ def test_bound_scan_equals_plain_scan_columns_and_naive(case):
             got = ms._scan_words(rows, n, r)
         with mock.patch.object(ms, "_BOUND_WORDS", n):  # more words than any product holds
             plain = ms._scan_words(rows, n, r)
-    assert got.dtype == np.int32
+    assert got.dtype == np.int32 and got.shape == (len(mat),)
     assert got.tolist() == plain.tolist()
-    if n <= 80:
+    if n <= 80 and len(mat):
         assert got.tolist() == ms._scan_columns(np.ascontiguousarray(mat.T), r).tolist()
     constant = (mat == mat[:, :1]).all(axis=1)
     assert (got[constant] == n - r + 1).all()

@@ -78,9 +78,17 @@ MUTANTS = (
     # holds whatever the bits past the product's length and the pad words are: a mutant
     # that leaves those bits set, or pads with zero words, is equivalent and left out. So
     # are mutants of the r = 2 bound blocks' size alone (dropping the doubling from 16 u_2,
-    # or another cap than 4 `_BLOCK_WORDS`): only the speed changes.
-    Mutant("span-reads-survivors-at-one-word-count", "measures.py",
-           "np.split(read, cuts)", "[read]", (BOUND,)),
+    # or another cap than 4 `_BLOCK_WORDS`): only the speed changes. A bounded pair is read
+    # wherever its bound exceeds its row's best, so mutants that only read more pairs are
+    # equivalent and left out too: >= for > in either read round, no first round (each
+    # row's highest-bound pair), another first pick than argmax, or first-round pairs left
+    # in the table for the second.
+    Mutant("read-lengths-from-u2", "measures.py",
+           "n - np.maximum(u2, u_r)", "n - u2", (BOUND,)),
+    Mutant("read-head-at-phase-stride", "measures.py",
+           "row * head.shape[1]", "row * phases.shape[2]", (BOUND,)),
+    Mutant("first-round-reads-rows-unsorted", "measures.py",
+           "np.sort(top[lead] * count + lead)", "top[lead] * count + lead", (BOUND,)),
     Mutant("bound-drops-slack", "measures.py",
            "mid.min(axis=0) + 32", "mid.min(axis=0)", (BOUND,)),
     Mutant("bound-midpoint-is-group-step", "measures.py",
@@ -123,11 +131,16 @@ MUTANTS = (
            "stop = lengths[start + t - 1]", "stop = lengths[start + t - 1] - (t > 1)",
            (COLUMN_WALK,)),
     # Lane 0 holds word 0's top and bottom, which include the empty prefix, so a clamp of
-    # _best_tuple's max at 0 and its min at 0 (the old initial=0) is equivalent and left out.
+    # _masked_ranges' max at 0 and its min at 0 (the old initial=0) is equivalent and left out.
     Mutant("best-tuple-lane-off-by-one", "measures.py",
-           "flat.take(lanes + u)", "flat.take(lanes + u + 1)", (BEST_TUPLE,)),
+           "prod = prod ^ flat.take(lanes + u)", "prod = prod ^ flat.take(lanes + u + 1)",
+           (BEST_TUPLE,)),
     Mutant("keep-table-off-by-one", "measures.py",
-           "lengths - lanes", "lengths - lanes - 1", (BEST_TUPLE,)),
+           "_KEEP[np.clip(lengths - lanes, 0, 16)]", "_KEEP[np.clip(lengths - lanes - 1, 0, 16)]",
+           (BEST_TUPLE, BOUND)),
+    Mutant("masked-sums-int16-at-2048-words", "measures.py",
+           "if len(prod) < 2048 else", "if len(prod) <= 2048 else",
+           ("tests/test_measures.py::TestBatchKernels::test_masked_ranges_at_the_int16_edge",)),
     Mutant("sampled-tie-keeps-later-block", "measures.py",
            "if ranges[i] > best:", "if ranges[i] >= best:", (SAMPLED_STREAM,)),
     # Each block's ranges go back to their stream positions, so an unstable width order

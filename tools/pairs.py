@@ -43,9 +43,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SHAPES = (
     "words 40x2048 r2", "words 200x2048 r2", "words 40x256 r2", "words 200x512 r2",
-    "words 200x512 r3", "words 500x4096 r2", "words 200x16384 r2", "words 4096x16 r2",
-    "words 4096x16 r3", "evb all14 r4", "exh 10 [2,4,6]", "exh 12 [2,4,6,8]",
-    "exh 14 [2,4,6,8]", "exh 15 [2,4,6]", "exh 16 [2,4,6,8]", "exh 18 [2]", "best 256 r3",
+    "words 200x512 r3", "words 500x4096 r2", "words 200x16384 r2", "words 4096x256 r2",
+    "words 4096x16 r2", "words 4096x16 r3", "evb all14 r4", "exh 10 [2,4,6]",
+    "exh 12 [2,4,6,8]", "exh 14 [2,4,6,8]", "exh 15 [2,4,6]", "exh 16 [2,4,6,8]", "exh 18 [2]",
+    "best 256 r3",
     "sampled 256 r6 10000", "sampled 2048 r6 20000", "sampled 256 r13 2000",
     "sampled 31 r5 20000", "tail 5000x4096", "tail 5000x4096 d0",
 )
