@@ -280,13 +280,16 @@ def _orbit_representatives(n: int) -> np.ndarray:
     """(n, 2^(n-2)) int8 array whose columns are the sequences with a_1 = a_2 = +1,
     in enumeration order: `all_sequences_matrix(n)[::4].T`, built without it.
 
-    Rows 0 and 1 are +1, and row j + 2 is -1 where bit j of the column index is set.
+    Rows 0 and 1 are +1, and row j + 2 is -1 where bit j of the column index is set: on
+    the odd runs of 2^j columns, written as one strided fill of words of up to 8 bytes
+    (-1 sets every byte), since runs of 2 or 4 bytes filled bytewise took 3-7x as long
+    as the 1-byte runs (0.21 against 0.09 ms at n = 18).
     """
     _check_exhaustive(n)
-    counter = np.arange(1 << (n - 2), dtype=np.uint32)
-    cols = np.ones((n, counter.size), dtype=np.int8)
+    cols = np.ones((n, 1 << (n - 2)), dtype=np.int8)
     for j in range(n - 2):
-        cols[j + 2] -= 2 * ((counter >> j) & 1).astype(np.int8)
+        w = min(j, 3)  # a run of 2^j bytes is 2^(j - w) words of 2^w bytes
+        cols[j + 2].view(f"i{1 << w}").reshape(-1, 2, 1 << (j - w))[:, 1] = -1
     return cols
 
 

@@ -229,7 +229,7 @@ class TestEvenOrderCertificate:
 
 class TestExhaustiveOrbits:
     def test_representatives_are_every_fourth_sequence(self):
-        for n in range(2, 15):
+        for n in range(2, 17):  # n = 16: runs of 2^13 columns
             cols = sc._orbit_representatives(n)
             assert cols.dtype == np.int8 and cols.flags.c_contiguous
             assert np.array_equal(cols.T, sc.all_sequences_matrix(n)[::4])

@@ -10,8 +10,9 @@ unfiltered read at n = 2..80, r = 2..5, and at n = 1000 and 4097, r = 2, with
 1..4 rows, 0..2 spare bytes and random bits past n, to the column scan up to
 n = 80 and to the oracle up to n = 20; blocks of the column walk are tied to the
 one-tuple walk at n = 2..16, r = 2..8 with up to 2,000 tuples, the doubling running
-sum to cumsum on 0..70 rows, and the sampled witness to the first maximizer in stream
-order at n = 3..24, r = 2..4 with up to 300 tuples) and the search is
+sum to cumsum on 0..70 rows, the sampled witness to the first maximizer in stream
+order at n = 3..24, r = 2..4 with up to 300 tuples, and the unranked rows to the colex
+oracle at n = 2..70, just past 2^63 and, in two examples, past 2^1024) and the search is
 derandomized, so the module runs in well under a minute and every run draws the
 same examples. Reports of valid rows round-trip through both report formats.
 """
@@ -297,6 +298,54 @@ def test_sampled_witness_is_first_in_stream(case):
     with mock.patch.object(ms, "_BLOCK_WORDS", block_words):
         got = ms.correlation_measure_sampled(seq, r, budget, sc.SeedSpec(seed, 0))
     assert (got.value, got.witness_tuple.offsets) == (max(ranges), tuples[ranges.index(max(ranges))])
+
+
+@st.composite
+def unrank_case(draw):
+    """A tuple space C(n - 1, k), n = 2..70 with k = 0, 1, n - 1 or any (or a space just
+    past 2^63, whose top 1, 2 or 3 columns hold Python ints), 1..60 ranks in it and a range
+    of 1..60 ranks. The ranks mix 0 and total - 1, uniform ranks, multiples of 2^j and one
+    less (bucket starts and ends at every bucket width), ranks below 64 (the lowest, widest
+    buckets), ranks of tuples whose offsets below a drawn one are 1, 2, ... (the rank left
+    at that column is one of its entries) and one less, and repeats, in any order."""
+    n, k = draw(st.one_of(
+        st.integers(2, 70).flatmap(lambda n: st.tuples(
+            st.just(n), st.one_of(st.sampled_from([0, 1, n - 1]), st.integers(0, n - 1)))),
+        st.sampled_from([(68, 33), (69, 34), (70, 33)])))
+    total = math.comb(n - 1, k)
+    uniform, j = st.integers(0, total - 1), st.integers(0, total.bit_length())
+    start = st.builds(lambda q, j: q >> j << j, uniform, j)
+
+    def lowered(q, i):  # the rank of q's tuple with offsets 1..i below its (i + 1)-th
+        offsets = orc.colex_unrank(q, k)
+        return orc.colex_rank(tuple(range(1, i + 1)) + offsets[i:])
+
+    ranks = draw(st.lists(st.one_of(
+        uniform, st.sampled_from([0, total - 1]), start, start.map(lambda q: max(q - 1, 0)),
+        st.integers(0, min(total - 1, 63)),
+        st.builds(lowered, uniform, st.integers(0, k)).flatmap(
+            lambda q: st.sampled_from([q, max(q - 1, 0)]))), min_size=1, max_size=60))
+    ranks = draw(st.permutations(ranks + ranks[:draw(st.integers(0, len(ranks)))]))
+    first = draw(uniform)
+    return n, k, ranks, range(first, min(total, first + draw(st.integers(1, 60))))
+
+
+@PROPERTY
+@given(unrank_case())
+@example((1100, 549, [0, 1, math.comb(1099, 549) - 1, 1 << 1000, (1 << 1000) - 1, 1], range(0)))
+@example((1031, 515, [math.comb(1030, 515) - 1, 3 << 1000, 7], range(math.comb(1030, 515) - 2,
+                                                                   math.comb(1030, 515))))
+def test_unrank_equals_colex_unrank_oracle(case):
+    """Each row of `_unrank` is the oracle's tuple of its rank, for lists (the bucket
+    table) and ranges (the search), also past 2^63 and past 2^1024 (C(1099, 549) and
+    C(1030, 515), whose ranks narrow to int64 at columns 8 and 9), and a range and the
+    same ranks as a list give the same rows."""
+    n, k, ranks, run = case
+    for q in (ranks, run, list(run)):
+        got = ms._unrank(q, k, n)
+        assert got.dtype == np.int64 and got.shape == (len(q), k)
+        assert [tuple(row) for row in got.tolist()] == [orc.colex_unrank(x, k) for x in q]
+    assert np.array_equal(ms._unrank(run, k, n), ms._unrank(list(run), k, n))
 
 
 @PROPERTY
